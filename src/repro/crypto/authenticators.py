@@ -16,7 +16,6 @@ from __future__ import annotations
 import hmac
 from collections import OrderedDict
 
-from repro.common.hotpath import HOTPATH
 from repro.crypto.mac import MAC_SIZE, MacKey, compute_mac, verify_mac
 
 
@@ -81,8 +80,6 @@ class MacCache:
 
     def tag(self, key: MacKey, data: bytes) -> bytes:
         """Compute (or recall) the 4-byte tag over ``data``."""
-        if not HOTPATH.enabled:
-            return compute_mac(key, data)
         tags = self._tags
         cache_key = (key.key, data)
         tag = tags.get(cache_key)

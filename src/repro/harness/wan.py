@@ -58,14 +58,20 @@ def run_wan_sweep(
     """Run the default null workload across latency profiles.
 
     Timeouts scale with the round-trip so the protocol is measured rather
-    than spurious retransmissions.
+    than spurious retransmissions.  The retransmission backoff cap scales
+    by the same factor as the base interval, so it never falls below it.
     """
     results = []
     for profile in profiles:
         rtt = 2 * profile.one_way_latency_ns
         base = config or PbftConfig()
+        retransmit_ns = max(base.client_retransmit_ns, 20 * rtt)
         tuned = base.with_options(
-            client_retransmit_ns=max(base.client_retransmit_ns, 20 * rtt),
+            client_retransmit_ns=retransmit_ns,
+            client_retransmit_cap_ns=(
+                base.client_retransmit_cap_ns * retransmit_ns
+                // base.client_retransmit_ns
+            ),
             view_change_timeout_ns=max(base.view_change_timeout_ns, 60 * rtt),
         )
         measurement = run_null_workload(

@@ -7,7 +7,6 @@ from fnmatch import fnmatch
 from typing import Callable, Optional
 
 from repro.common.errors import ConfigError, NetworkError
-from repro.common.hotpath import HOTPATH
 from repro.common.units import MICROSECOND, SECOND
 from repro.sim.rng import RngStreams
 from repro.sim.simulator import Simulator
@@ -310,11 +309,11 @@ class NetworkFabric:
         self.packets_dropped = 0
         self.bytes_sent = 0
         self.partitions: set[frozenset[str]] = set()
-        # Hot-path memos (repro.common.hotpath).  Routes — the (Host, link)
-        # pair for a (src, dst) host pair — and serialization times are
-        # pure functions of topology, which is fixed at build time (hosts
-        # are only added, link overrides only set at construction), so the
-        # memos can never go stale mid-run.
+        # Hot-path memos.  Routes — the (Host, link) pair for a (src, dst)
+        # host pair — and serialization times are pure functions of
+        # topology, which is fixed at build time (hosts are only added,
+        # link overrides only set at construction), so the memos can never
+        # go stale mid-run.
         self._route_memo: dict[tuple[str, str], tuple[Host, LinkSpec]] = {}
         self._txtime_memo: dict[tuple[int, int, int], int] = {}
 
@@ -385,49 +384,38 @@ class NetworkFabric:
     def transmit(self, packet: Packet) -> None:
         self.packets_sent += 1
         self.bytes_sent += packet.size
-        if HOTPATH.enabled:
-            route_key = (packet.src[0], packet.dst[0])
-            route = self._route_memo.get(route_key)
-            if route is None:
-                route = self._route_memo[route_key] = (
-                    self.host(packet.src[0]),
-                    self.config.link_for(packet.src[0], packet.dst[0]),
-                )
-            src_host, link = route
-            if not (
-                self.partitions
-                or self.drop_rules
-                or self.link_faults
-                or link.loss_probability > 0.0
-                or self.trace_enabled
-            ):
-                # Fault-free fast path: with no drop source active the
-                # packet provably survives and no RNG draws are owed, so
-                # the drop/fault machinery is skipped entirely.  Memoized
-                # serialization time, same arrival as the general path.
-                tx_key = (packet.size, link.bandwidth_bps, self.config.mtu)
-                tx_ns = self._txtime_memo.get(tx_key)
-                if tx_ns is None:
-                    tx_ns = self._txtime_memo[tx_key] = self._tx_time(
-                        packet.size, link
-                    )
-                serialized_at = src_host._reserve_nic(tx_ns)
-                jitter = (
-                    self.jitter_rng.randrange(link.jitter_ns + 1)
-                    if link.jitter_ns
-                    else 0
-                )
-                arrival = serialized_at + link.latency_ns + jitter
-                tracer = self.tracer
-                if tracer is not None and tracer.enabled:
-                    self._trace_packet(packet, self.sim.now, arrival, "")
-                self.sim.schedule_anonymous(
-                    arrival, lambda p=packet: self._deliver(p)
-                )
-                return
-        else:
-            src_host = self.host(packet.src[0])
-            link = self.config.link_for(packet.src[0], packet.dst[0])
+        route_key = (packet.src[0], packet.dst[0])
+        route = self._route_memo.get(route_key)
+        if route is None:
+            route = self._route_memo[route_key] = (
+                self.host(packet.src[0]),
+                self.config.link_for(packet.src[0], packet.dst[0]),
+            )
+        src_host, link = route
+        if not (
+            self.partitions
+            or self.drop_rules
+            or self.link_faults
+            or link.loss_probability > 0.0
+            or self.trace_enabled
+        ):
+            # Fault-free fast path: with no drop source active the
+            # packet provably survives and no RNG draws are owed, so
+            # the drop/fault machinery is skipped entirely.  Memoized
+            # serialization time, same arrival as the general path.
+            tx_key = (packet.size, link.bandwidth_bps, self.config.mtu)
+            tx_ns = self._txtime_memo.get(tx_key)
+            if tx_ns is None:
+                tx_ns = self._tx_time(packet.size, link)
+                self._txtime_memo[tx_key] = tx_ns
+            serialized_at = src_host._reserve_nic(tx_ns)
+            jitter = self.jitter_rng.randrange(link.jitter_ns + 1) if link.jitter_ns else 0
+            arrival = serialized_at + link.latency_ns + jitter
+            tracer = self.tracer
+            if tracer is not None and tracer.enabled:
+                self._trace_packet(packet, self.sim.now, arrival, "")
+            self.sim.schedule_anonymous(arrival, lambda p=packet: self._deliver(p))
+            return
 
         dropped, reason = self._drop_decision(packet, link)
         if self.trace_enabled and len(self.trace) < self.trace_limit:

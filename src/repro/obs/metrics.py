@@ -19,7 +19,6 @@ from collections.abc import MutableMapping
 from typing import Iterator, Optional, Sequence
 
 from repro.common.errors import ConfigError
-from repro.common.hotpath import HOTPATH
 
 # Default latency buckets: 10us .. 10s, roughly 1-2-5 per decade.  Values
 # are nanoseconds, like every duration in this library.
@@ -221,27 +220,20 @@ class StatsView(MutableMapping):
         self._memo: dict[str, Counter] = {}
 
     def __getitem__(self, key: str) -> int:
-        if HOTPATH.enabled:
-            counter = self._memo.get(key)
-            if counter is not None:
-                return counter.value
+        counter = self._memo.get(key)
+        if counter is not None:
+            return counter.value
         metric = self._registry._metrics.get(self._prefix + key)
         if isinstance(metric, Counter):
-            if HOTPATH.enabled:
-                self._memo[key] = metric
+            self._memo[key] = metric
             return metric.value
         return 0
 
     def __setitem__(self, key: str, value: int) -> None:
-        if HOTPATH.enabled:
-            counter = self._memo.get(key)
-            if counter is not None:
-                counter.value = value
-                return
-        counter = self._registry.counter(self._prefix + key)
+        counter = self._memo.get(key)
+        if counter is None:
+            counter = self._memo[key] = self._registry.counter(self._prefix + key)
         counter.value = value
-        if HOTPATH.enabled:
-            self._memo[key] = counter
 
     def __delitem__(self, key: str) -> None:
         self._memo.pop(key, None)

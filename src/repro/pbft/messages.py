@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.common.errors import ProtocolError
-from repro.common.hotpath import HOTPATH
 from repro.crypto.digests import DIGEST_SIZE, md5_digest
 from repro.pbft.wire import Decoder, Encoder
 
@@ -26,14 +25,12 @@ class WireMemo:
     """Memoized canonical bytes for a frozen message.
 
     Messages are immutable, so their canonical encoding and wire size are
-    fixed at construction — yet the seed implementation re-encoded on
-    every authentication and re-counted bytes on every send.  ``wire``
+    fixed at construction, yet they are authenticated and sized on every
+    send and verify.  ``wire``
     and ``wire_size`` compute once and memoize in the instance
     ``__dict__`` (the same mechanism ``functools.cached_property`` uses on
     frozen dataclasses).  ``encode()``/``body_size()`` stay memo-free so
-    differential tests can always compare a fresh encoding against the
-    cached one, and so the global :data:`~repro.common.hotpath.HOTPATH`
-    switch can reproduce seed behaviour exactly.
+    tests can always compare a fresh encoding against the cached one.
     """
 
     __slots__ = ()
@@ -41,8 +38,6 @@ class WireMemo:
     @property
     def wire(self) -> bytes:
         """Canonical encoding, computed at most once per object."""
-        if not HOTPATH.enabled:
-            return self.encode()
         memo = self.__dict__
         cached = memo.get("_wire")
         if cached is None:
@@ -58,8 +53,6 @@ class WireMemo:
         material the in-memory encoding elides (``AuthenticatorRefresh``
         charges public-key-encrypted blocks per key entry).
         """
-        if not HOTPATH.enabled:
-            return self.body_size()
         memo = self.__dict__
         cached = memo.get("_wire_size")
         if cached is None:
@@ -181,8 +174,6 @@ class PrePrepare(WireMemo):
     @property
     def header_wire(self) -> bytes:
         """Memoized header encoding (the authenticated portion)."""
-        if not HOTPATH.enabled:
-            return self.encode_header()
         memo = self.__dict__
         cached = memo.get("_header_wire")
         if cached is None:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.errors import ConfigError
-from repro.common.hotpath import HOTPATH
 from repro.crypto.authenticators import Authenticator, MacCache
 from repro.crypto.mac import MacKey
 from repro.crypto.rabin import (
@@ -81,8 +80,6 @@ class Envelope:
 
     @property
     def size(self) -> int:
-        if not HOTPATH.enabled:
-            return self._compute_size()
         size = self._size
         if size is None:
             size = self._size = self._compute_size()
@@ -288,7 +285,7 @@ class Node:
         if self.muted:
             self.messages_muted += 1
             return
-        if only is None and HOTPATH.enabled:
+        if only is None:
             memo_key = (self.config.n, exclude)
             dests = self._dests_memo.get(memo_key)
             if dests is None:
@@ -298,10 +295,9 @@ class Node:
                     if rid != exclude
                 ]
         else:
-            rids = only if only is not None else list(range(self.config.n))
             dests = [
                 (rid, replica_address(rid, self.group_prefix))
-                for rid in rids
+                for rid in only
                 if rid != exclude
             ]
         if not dests:
@@ -335,12 +331,12 @@ class Node:
     def _replica_group_keys(self) -> dict[int, MacKey]:
         """Session keys we hold for every replica in the group, memoized.
 
-        The seed rebuilt this dict on every broadcast; its contents only
-        change when session keys are installed or dropped, so those paths
-        invalidate the memo instead.
+        Its contents only change when session keys are installed or
+        dropped, so those paths invalidate the memo instead of every
+        broadcast rebuilding it.
         """
         known = self._group_keys
-        if known is not None and self._group_keys_n == self.config.n and HOTPATH.enabled:
+        if known is not None and self._group_keys_n == self.config.n:
             return known
         exclude_self = self.node_id if self.kind == "replica" else -1
         known = {}
@@ -378,17 +374,15 @@ class Node:
         env = packet.payload
         if not isinstance(env, Envelope):
             return
-        if HOTPATH.enabled and env._recv_cost_model is self.costs:
+        if env._recv_cost_model is self.costs:
             cost = env._recv_cost
         else:
-            cost = (
+            cost = env._recv_cost = (
                 self.costs.msg_recv_ns
                 + self.costs.bytes_cost(_msg_wire_size(env.msg))
                 + self._verify_cost(env)
             )
-            if HOTPATH.enabled:
-                env._recv_cost = cost
-                env._recv_cost_model = self.costs
+            env._recv_cost_model = self.costs
         self.host.execute(cost, lambda: self._verified_dispatch(env))
 
     def _verify_cost(self, env: Envelope) -> int:
@@ -411,13 +405,10 @@ class Node:
 
         ``auth_bytes()`` is only materialized on the branches that hash it
         — with fake crypto (the harness default) no verification receives
-        bytes at all.  Baseline mode re-creates the seed's unconditional
-        marshalling so cache-off measurements stay faithful.
+        bytes at all.
         """
         if env.auth_kind == AUTH_NONE:
             return True
-        if not HOTPATH.enabled:
-            env.msg.auth_bytes()
         if env.auth_kind == AUTH_SIG:
             public = (
                 self.keys.replica_public(env.sender_id)

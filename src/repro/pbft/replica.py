@@ -18,7 +18,6 @@ from collections import defaultdict
 from typing import Optional
 
 from repro.common.errors import ConfigError
-from repro.common.hotpath import HOTPATH
 from repro.crypto.digests import DIGEST_SIZE
 from repro.net.fabric import Address, Host
 from repro.pbft.admission import (
@@ -398,7 +397,7 @@ class Replica(ViewChangeMixin, RecoveryMixin, Node):
             penalty = self.admission.penalty
             # With the box empty (the steady state) there is nothing to
             # look up; the hot path skips building the key tuple.
-            if not (HOTPATH.enabled and not penalty.entries):
+            if penalty.entries:
                 key = (env.sender_kind, env.sender_id)
                 if penalty.muted(key, self.host.sim.now):
                     self.host.charge_cpu(self.costs.msg_recv_ns)

@@ -6,7 +6,6 @@ import heapq
 from typing import Callable, Optional
 
 from repro.common.errors import ConfigError
-from repro.common.hotpath import HOTPATH
 
 
 class Timer:
@@ -116,12 +115,8 @@ class Simulator:
         event per datagram and never cancels it, so the :class:`Timer`
         handle is pure overhead there; this queues the bare callable under
         the same ``(when, seq)`` ordering key, making the event sequence
-        identical to :meth:`schedule_at`'s.  With the hot-path caches off
-        it falls back to a full Timer, reproducing the seed's allocations.
+        identical to :meth:`schedule_at`'s.
         """
-        if not HOTPATH.enabled:
-            self.schedule_at(when, callback)
-            return
         if when < self._now:
             raise ConfigError(
                 f"cannot schedule at t={when} which is before now={self._now}"

@@ -121,8 +121,7 @@ class BTree:
         """Parse a page, going through the pager's parsed-node cache.
 
         Profiling shows re-parsing pages on every access dominates the
-        engine's cost; the cache is gated on the hot-path switch so the
-        naive parse-every-time behavior is still reachable.  Write paths
+        engine's cost, so parsed nodes are memoized per page.  Write paths
         must call ``pager.forget_node`` *before* mutating a node in place
         (an exception between mutate and store must not leave a stale
         parse cached) and re-register only after a successful store.

@@ -6,7 +6,6 @@ from functools import cmp_to_key
 from typing import Iterator, Optional
 
 from repro.common.errors import SqlConstraintError, SqlError
-from repro.common.hotpath import HOTPATH
 from repro.sqlstate import ast, planner
 from repro.sqlstate.btree import BTree
 from repro.sqlstate.catalog import Catalog, Index, Table
@@ -475,44 +474,8 @@ class Executor:
         """Rows possibly matching ``where``: an index equality probe when
         one applies, else a full scan.  The WHERE clause is still
         re-checked by the caller."""
-        if HOTPATH.enabled:
-            plan = self._scan_plan(table, alias, where)
-            yield from self._plan_candidates(plan, table, alias, params)
-            return
-        tree = BTree(self.pager, table.root_page)
-        probe = self._find_index_probe(table, where, params)
-        if probe is not None:
-            index, value = probe
-            self.index_lookups += 1
-            prefix = encode_key([value])
-            for _key, stored in self._index_tree(index).scan_prefix(prefix):
-                rowid = decode_rowid(stored)
-                raw = tree.get(encode_rowid(rowid))
-                if raw is None:
-                    continue  # index ahead of table within this statement
-                row = self._pad_row(table, decode_record(raw))
-                ctx = RowContext()
-                ctx.bind_table(alias, table, rowid, row)
-                self.rows_scanned += 1
-                yield rowid, row, ctx
-            return
-        rowid_probe = self._find_rowid_probe(table, where, params)
-        if rowid_probe is not None:
-            raw = tree.get(encode_rowid(rowid_probe))
-            if raw is not None:
-                row = self._pad_row(table, decode_record(raw))
-                ctx = RowContext()
-                ctx.bind_table(alias, table, rowid_probe, row)
-                self.rows_scanned += 1
-                yield rowid_probe, row, ctx
-            return
-        for key, raw in tree.scan():
-            rowid = decode_rowid(key)
-            row = self._pad_row(table, decode_record(raw))
-            ctx = RowContext()
-            ctx.bind_table(alias, table, rowid, row)
-            self.rows_scanned += 1
-            yield rowid, row, ctx
+        plan = self._scan_plan(table, alias, where)
+        yield from self._plan_candidates(plan, table, alias, params)
 
     @staticmethod
     def _pad_row(table: Table, row: list) -> list:
@@ -521,47 +484,6 @@ class Executor:
         if len(row) < len(table.columns):
             row = row + [col.default for col in table.columns[len(row):]]
         return row
-
-    def _find_index_probe(self, table: Table, where, params):
-        """WHERE col = <constant> with a single-column index on col."""
-        pair = self._equality_pair(table, where, params)
-        if pair is None:
-            return None
-        column, value = pair
-        for index in table.indexes:
-            if len(index.columns) == 1 and index.columns[0].lower() == column:
-                return index, value
-        return None
-
-    def _find_rowid_probe(self, table: Table, where, params):
-        pair = self._equality_pair(table, where, params, rowid_only=True)
-        if pair is None:
-            return None
-        _column, value = pair
-        return value if isinstance(value, int) else None
-
-    def _equality_pair(self, table: Table, where, params, rowid_only: bool = False):
-        if not isinstance(where, ast.Binary) or where.op != "=":
-            return None
-        column_side, const_side = where.left, where.right
-        if not isinstance(column_side, ast.ColumnRef):
-            column_side, const_side = const_side, column_side
-        if not isinstance(column_side, ast.ColumnRef):
-            return None
-        if not isinstance(const_side, (ast.Literal, ast.Parameter)):
-            return None
-        name = column_side.name.lower()
-        if rowid_only:
-            is_rowid = name == "rowid" or (
-                table.rowid_alias is not None
-                and table.columns[table.rowid_alias].name.lower() == name
-            )
-            if not is_rowid:
-                return None
-        value = self.eval(const_side, _EMPTY_CTX, params)
-        if value is SqlNull:
-            return None
-        return name, value
 
     # ==== cost-based row sources (hot path) ==========================================
 
@@ -589,9 +511,9 @@ class Executor:
         self, plan: "planner.ScanPlan", table: Table, alias: str, params
     ) -> Iterator[tuple[int, list, RowContext]]:
         """Execute an access plan.  Any bound value the plan cannot probe
-        with (NULL, NaN, a non-integer rowid) degrades to the full scan —
-        exactly what the naive path does in those cases, so results *and*
-        counters stay identical."""
+        with (NULL, NaN, a non-integer rowid) degrades to the full scan,
+        which returns a superset of the matches; the caller's WHERE
+        re-check keeps results identical."""
         tree = BTree(self.pager, table.root_page)
         if plan.method == "rowid-eq":
             value = self.eval(plan.eq_expr, _EMPTY_CTX, params)
@@ -647,7 +569,7 @@ class Executor:
                     )
                 ]
                 # Emit in rowid order — the order a full scan would use —
-                # so downstream results are bit-identical to the naive path.
+                # so downstream results are bit-identical to a full scan's.
                 rowids.sort()
                 for rowid in rowids:
                     raw = tree.get(encode_rowid(rowid))
@@ -709,9 +631,9 @@ class Executor:
         """Equi-join via a build/probe hash table.
 
         The build side is scanned exactly once in rowid order (the same
-        ``rows_scanned`` as the naive materialization) and each bucket
-        keeps that order, so the emitted rows — after the full ON clause
-        is re-evaluated per candidate — are identical to the naive
+        ``rows_scanned`` as the nested loop's materialization) and each
+        bucket keeps that order, so the emitted rows — after the full ON
+        clause is re-evaluated per candidate — are identical to the
         nested loop's output, in the same order.
         """
         right_table = self.catalog.table(join.right.name)
@@ -762,8 +684,8 @@ class Executor:
     ) -> Iterator[RowContext]:
         """Index nested-loop: probe the right side per left row instead of
         materializing it.  Candidates come out of the index in rowid order
-        and the full ON clause is re-checked, so results match the naive
-        loop exactly (the probe is a superset filter, never a decider)."""
+        and the full ON clause is re-checked, so results match the plain
+        nested loop exactly (the probe is a superset filter, never a decider)."""
         right_table = self.catalog.table(join.right.name)
         right_alias = join.right.alias or join.right.name
         tree = BTree(self.pager, right_table.root_page)
@@ -842,15 +764,13 @@ class Executor:
         raise SqlError(f"unsupported FROM clause {type(source).__name__}")
 
     def _join_rows(self, join: ast.Join, params) -> Iterator[RowContext]:
-        if HOTPATH.enabled:
-            plan = self._join_plan(join)
-            if plan.strategy == "hash":
-                yield from self._hash_join(join, plan, params)
-                return
-            if plan.strategy == "index":
-                yield from self._index_join(join, plan, params)
-                return
-        yield from self._nested_join(join, params)
+        plan = self._join_plan(join)
+        if plan.strategy == "hash":
+            yield from self._hash_join(join, plan, params)
+        elif plan.strategy == "index":
+            yield from self._index_join(join, plan, params)
+        else:
+            yield from self._nested_join(join, params)
 
     def _nested_join(self, join: ast.Join, params) -> Iterator[RowContext]:
         right_table = self.catalog.table(join.right.name)

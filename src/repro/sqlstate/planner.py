@@ -1,22 +1,21 @@
 """Cost-based access-path and join planning.
 
-The executor's naive row sources — full scan, plus an index probe for a
-bare top-level ``col = const`` — stay in place as the reference
-implementation (and run verbatim with the hot-path switch off).  This
-module chooses *narrower candidate sets* for the same statements:
+Without a plan the executor would full-scan every table and join by a
+materialize-and-scan nested loop.  This module chooses *narrower
+candidate sets* for the same statements:
 
 * AND-conjunctions in WHERE are decomposed, so any one conjunct can
   drive an index equality probe or an index **range** scan;
 * rowid lookups short-circuit to a direct page fetch;
-* multi-table joins pick hash join or index nested-loop over the naive
+* multi-table joins pick hash join or index nested-loop over the plain
   materialize-and-scan nested loop, guided by table/index statistics
   from the catalog.
 
-Every plan is result-identical to the naive path by construction: a plan
+Every plan is result-identical to a full scan by construction: a plan
 only selects *candidate rows*; the full WHERE / ON expression is always
 re-evaluated against each candidate by the executor, and candidates are
 always produced in rowid order (range scans sort their matches, hash
-buckets preserve build order), which is exactly the naive scan order.
+buckets preserve build order), which is exactly the full scan's order.
 Cost estimates therefore only ever change *how much work* is done, never
 the answer.
 
@@ -36,8 +35,8 @@ from repro.sqlstate.catalog import Catalog, Table
 
 # Cost constants.  Units are "rows touched"; the fixed overheads make the
 # ordering stable on tiny/empty tables (a probe must beat a seq scan even
-# at row_count == 0, because the naive path also probes bare equalities
-# and metric parity with it is part of the differential contract).
+# at row_count == 0, so a bare equality always probes and the
+# ``rows_scanned``/``index_lookups`` counters do not depend on table size).
 _PROBE_OVERHEAD = 1.5
 _SEQ_OVERHEAD = 2.5
 _RANGE_SELECTIVITY = 4  # assume a range keeps ~1/4 of the rows
@@ -185,8 +184,7 @@ def extract_predicates(table: Table, alias: str, where):
 
 
 def _single_column_index(table: Table, column: str):
-    """First single-column index on ``column`` — the same pick order as
-    the naive probe, so plans mirror it exactly on bare equalities."""
+    """First single-column index on ``column``, in declaration order."""
     for index in table.indexes:
         if len(index.columns) == 1 and index.columns[0].lower() == column:
             return index
@@ -388,7 +386,7 @@ def plan_join_step(catalog: Catalog, join: ast.Join, left_est: float) -> JoinSte
     index = None if is_rowid else _single_column_index(right_table, right_column)
 
     # Hash join: one full scan of the right side (same rows_scanned as the
-    # naive materialization) plus O(1) probes.
+    # nested loop's materialization) plus O(1) probes.
     hash_cost = rows + left_est
     step.strategy = "hash"
     step.left_expr = left_expr
@@ -411,7 +409,7 @@ def plan_join_step(catalog: Catalog, join: ast.Join, left_est: float) -> JoinSte
 
 def plan_select_source(catalog: Catalog, source, where) -> SelectPlan:
     """Plan a SELECT's FROM clause (WHERE is only usable single-table,
-    mirroring the naive pushdown rule)."""
+    mirroring the executor's pushdown rule)."""
     plan = SelectPlan()
     if source is None:
         return plan

@@ -1,34 +1,34 @@
 """Seed-determinism regression: same seed, same everything.
 
 The whole repo leans on the simulation being a pure function of
-(scenario, seed): the perf harness compares two runs of one scenario,
-the fault campaign replays failures by seed, and the hot-path caches
-claim to change wall clock only.  These tests pin all three claims at
-the integration level — a run repeated with the same seed, or repeated
-with the caches toggled, must produce identical measurements, identical
-metrics registries, and identical fault logs.
+(scenario, seed): the benchmark repeats one scenario per seed, the fault
+campaign replays failures by seed, and the hot-path memos claim to
+change wall clock only.  These tests pin those claims at the
+integration level — a run repeated with the same seed must produce
+identical measurements and metrics registries, and three end-to-end
+runs must reproduce golden completed-op counts, simulated throughput,
+latency percentiles and replicated state roots exactly.
 """
 
-from repro.common.hotpath import hotpath_caches
-from repro.common.units import MILLISECOND
-from repro.faults import run_schedule
-from repro.faults.library import lossy_replica_links
-from repro.harness.measure import run_null_workload
+from repro.harness.measure import (
+    run_analytics_workload,
+    run_null_workload,
+    run_sql_workload,
+)
 from repro.pbft.config import PbftConfig
 
 WINDOW = dict(warmup_s=0.05, measure_s=0.15, seed=11)
 
 
-def _null_run(enabled: bool):
+def _null_run():
     captured = {}
-    with hotpath_caches(enabled):
-        m = run_null_workload(
-            PbftConfig(),
-            name="determinism",
-            payload_size=256,
-            cluster_hook=lambda c: captured.update(cluster=c),
-            **WINDOW,
-        )
+    m = run_null_workload(
+        PbftConfig(),
+        name="determinism",
+        payload_size=256,
+        cluster_hook=lambda c: captured.update(cluster=c),
+        **WINDOW,
+    )
     snapshot = captured["cluster"].obs.registry.snapshot()
     fingerprint = (
         m.completed,
@@ -43,29 +43,42 @@ def _null_run(enabled: bool):
 
 
 def test_normal_operation_same_seed_twice_is_identical():
-    first, first_metrics = _null_run(True)
-    second, second_metrics = _null_run(True)
+    first, first_metrics = _null_run()
+    second, second_metrics = _null_run()
     assert first == second
     assert first_metrics == second_metrics
 
 
-def test_normal_operation_identical_across_cache_modes():
-    # The hot-path differential at full-stack scope: every memo and fast
-    # path engaged, yet simulated results and the entire metrics
-    # registry (every counter on every node) match the seed code path.
-    on, on_metrics = _null_run(True)
-    off, off_metrics = _null_run(False)
-    assert on == off
-    assert on_metrics == off_metrics
+# Golden end-to-end outputs: PbftConfig(), seed 3, real crypto.  Every
+# memo on the hot path (wire encodings, MAC tags, routes, Merkle batches,
+# plan and node caches) must leave these bit-identical.  Layout:
+# (completed ops, simulated TPS, p50 ns, p99 ns, state root or None).
 
 
-def test_fault_campaign_identical_across_cache_modes():
-    fast = dict(run_ns=400 * MILLISECOND, drain_ns=1200 * MILLISECOND)
-    with hotpath_caches(False):
-        off = run_schedule(lossy_replica_links(), seed=2, **fast)
-    with hotpath_caches(True):
-        on = run_schedule(lossy_replica_links(), seed=2, **fast)
-    assert (off.ok, off.invoked_ops, off.completed_ops, off.max_view, off.sim_time_ns) == (
-        on.ok, on.invoked_ops, on.completed_ops, on.max_view, on.sim_time_ns
+def _pinned(runner, **kwargs):
+    m = runner(PbftConfig(), seed=3, real_crypto=True, **kwargs)
+    return (
+        m.completed,
+        m.tps,
+        m.p50_latency_ns,
+        m.p99_latency_ns,
+        m.extras.get("state_root"),
     )
-    assert off.fault_log == on.fault_log
+
+
+def test_sql_workload_golden_outputs():
+    assert _pinned(run_sql_workload, warmup_s=0.2, measure_s=0.6) == (
+        564, 940.0, 12_818_193, 13_019_954, "203b33d68bece8a095443bb7e3ba9f64"
+    )
+
+
+def test_analytics_workload_golden_outputs():
+    assert _pinned(run_analytics_workload, warmup_s=0.2, measure_s=0.6) == (
+        516, 860.0, 12_368_356, 25_997_762, "33ae553e312a43fb316f0b0c5cc9005c"
+    )
+
+
+def test_null_workload_golden_outputs():
+    assert _pinned(
+        run_null_workload, payload_size=1024, warmup_s=0.1, measure_s=0.4
+    ) == (6960, 17400.0, 687_900, 761_725, None)

@@ -2,6 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.digests import md5_digest
+from repro.statemgr.merkle import MerkleTree
 from repro.statemgr.pages import PagedState
 
 NUM_PAGES, PAGE_SIZE = 8, 64
@@ -67,32 +69,39 @@ def test_restore_is_exact(ops, extra):
 @given(ops=writes)
 @settings(max_examples=60)
 def test_hotpath_fast_paths_equal_slow_paths(ops):
-    """The gated read/write fast paths are invisible to the contract.
+    """The fast paths are invisible to the contract.
 
-    Same op sequence with caches off (seed code path: multi-page
-    memoryview splice, per-leaf tree refresh) and on (single-page
-    slice fast path, batched tree refresh) must yield identical
-    content, identical roots, and identical write counts.
+    ``bytes`` writes within one page take the single-slice fast path; the
+    same writes as ``bytearray`` always take the general multi-page
+    splice.  Both must yield identical content, roots and write counts.
+    The batched tree refresh must match a tree built leaf by leaf with
+    ``MerkleTree.update_leaf``, and single-page reads must match one
+    whole-region read.
     """
-    from repro.common.hotpath import hotpath_caches
 
-    def build(enabled):
-        with hotpath_caches(enabled):
-            state = PagedState(NUM_PAGES, PAGE_SIZE)
-            for offset, data in ops:
-                data = data[: SIZE - offset]
-                state.modify(offset, len(data))
-                state.write(offset, data)
-            return state.read(0, SIZE), state.refresh_tree(), state.writes
+    def build(as_type):
+        state = PagedState(NUM_PAGES, PAGE_SIZE)
+        for offset, data in ops:
+            data = data[: SIZE - offset]
+            state.modify(offset, len(data))
+            state.write(offset, as_type(data))
+        return state
 
-    assert build(False) == build(True)
+    fast, slow = build(bytes), build(bytearray)
+    content = slow.read(0, SIZE)
+    assert fast.read(0, SIZE) == content
+    assert fast.writes == slow.writes == len(ops)
+    per_leaf = MerkleTree(NUM_PAGES)
+    for i in range(NUM_PAGES):
+        page = content[i * PAGE_SIZE : (i + 1) * PAGE_SIZE]
+        assert fast.read(i * PAGE_SIZE, PAGE_SIZE) == page
+        per_leaf.update_leaf(i, md5_digest(page))
+    assert fast.refresh_tree() == slow.refresh_tree() == per_leaf.root
 
 
 @given(ops=writes)
 @settings(max_examples=40)
 def test_restore_with_tree_snapshot_equals_redigest(ops):
-    from repro.common.hotpath import hotpath_caches
-
     state = PagedState(NUM_PAGES, PAGE_SIZE)
     for offset, data in ops:
         data = data[: SIZE - offset]
@@ -103,10 +112,8 @@ def test_restore_with_tree_snapshot_equals_redigest(ops):
     root = state.root
 
     with_nodes = PagedState(NUM_PAGES, PAGE_SIZE)
-    with hotpath_caches(True):
-        with_nodes.restore(pages, nodes)
+    with_nodes.restore(pages, nodes)
     redigested = PagedState(NUM_PAGES, PAGE_SIZE)
-    with hotpath_caches(False):
-        redigested.restore(pages, nodes)  # off path ignores nodes, re-digests
+    redigested.restore(pages, None)  # no snapshot: re-digests every page
     assert with_nodes.root == redigested.root == root
     assert with_nodes.read(0, SIZE) == redigested.read(0, SIZE)

@@ -1,9 +1,9 @@
 """Property tests: protocol messages survive encode/decode, and the
-hot-path wire memos always equal a fresh encoding."""
+wire memos always equal a fresh encoding."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.hotpath import hotpath_caches
+from repro.crypto.digests import md5_digest
 from repro.pbft.messages import (
     AuthenticatorRefresh,
     BatchRetransmit,
@@ -225,43 +225,29 @@ def test_sample_catalog_covers_every_tag():
 
 def test_memoized_wire_equals_fresh_encode_for_every_type():
     for msg in sample_messages():
-        with hotpath_caches(False):
-            fresh_wire = msg.encode()
-            fresh_size = msg.body_size()
-            # Caches off: the properties delegate straight to encode().
-            assert msg.wire == fresh_wire
-            assert msg.wire_size == fresh_size
-        with hotpath_caches(True):
-            assert msg.wire == fresh_wire
-            assert msg.wire is msg.wire  # memoized: literally the same object
-            assert msg.wire_size == fresh_size
-            assert decode_message(msg.wire) == msg
-
-
-def test_wire_memo_populated_on_first_access_survives_toggle():
-    # A memo filled while caches were on must still read back correct
-    # bytes (fresh re-encode) once they are off — the off path never
-    # consults the memo.
-    for msg in sample_messages():
-        with hotpath_caches(True):
-            cached = msg.wire
-        with hotpath_caches(False):
-            assert msg.wire == cached
+        fresh_wire = msg.encode()
+        fresh_size = msg.body_size()
+        assert msg.wire == fresh_wire
+        assert msg.wire is msg.wire  # memoized: literally the same object
+        assert msg.wire_size == fresh_size
+        assert msg.encode() == fresh_wire  # encode() never reads the memo
+        assert decode_message(msg.wire) == msg
 
 
 @given(msg=requests)
 @settings(max_examples=100)
 def test_request_digest_identical_across_cache_modes(msg):
-    with hotpath_caches(False):
-        fresh = Request(
-            client=msg.client, req_id=msg.req_id, op=msg.op,
-            readonly=msg.readonly, big=msg.big,
-        )
-        off_digest = fresh.digest
-        off_wire = fresh.encode()
-    with hotpath_caches(True):
-        assert msg.wire == off_wire
-        assert msg.digest == off_digest
+    # ``msg`` may carry warm memos from earlier examples; ``fresh`` is an
+    # equal Request whose memos are cold.  Both digests must equal the
+    # MD5 of a fresh canonical encoding.
+    fresh = Request(
+        client=msg.client, req_id=msg.req_id, op=msg.op,
+        readonly=msg.readonly, big=msg.big,
+    )
+    reference = md5_digest(msg.encode())
+    assert fresh.digest == reference
+    assert msg.wire == fresh.wire  # warms msg's wire memo
+    assert msg.digest == reference
 
 
 @given(msg=requests)

@@ -51,31 +51,28 @@ def test_keys_hashable_for_dict_use():
 
 
 def test_compute_mac_is_hmac_md5_in_both_cache_modes():
-    # The hot-path implementation reuses precomputed inner/outer MD5
-    # states; it must stay byte-identical to the reference HMAC in the
-    # standard library, which is what the caches-off path calls.
+    # compute_mac memoizes the key's inner/outer MD5 states on first use.
+    # Tags from a fresh key (cold: the schedule is built) and from a
+    # reused one (warm: the memoized states are copied) must both stay
+    # byte-identical to the standard library's reference HMAC.
     import hashlib
     import hmac as hmac_mod
 
-    from repro.common.hotpath import hotpath_caches
-
     rng = RngStreams(123).stream("hmac-vectors")
     for _ in range(50):
-        k = MacKey.generate(rng)
+        raw = MacKey.generate(rng).key
         data = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
-        reference = hmac_mod.new(k.key, data, hashlib.md5).digest()[:MAC_SIZE]
-        with hotpath_caches(True):
-            assert compute_mac(k, data) == reference
-        with hotpath_caches(False):
-            assert compute_mac(k, data) == reference
+        reference = hmac_mod.new(raw, data, hashlib.md5).digest()[:MAC_SIZE]
+        k = MacKey(raw)
+        assert k._iproto is None
+        assert compute_mac(k, data) == reference
+        assert k._iproto is not None
+        assert compute_mac(k, data) == reference
 
 
 def test_key_schedule_memo_survives_repeated_use():
-    from repro.common.hotpath import hotpath_caches
-
     k = key()
-    with hotpath_caches(True):
-        first = compute_mac(k, b"a")
-        assert compute_mac(k, b"a") == first
-        assert compute_mac(k, b"b") != first  # distinct data, fresh tag
-        assert verify_mac(k, b"a", first)
+    first = compute_mac(k, b"a")
+    assert compute_mac(k, b"a") == first
+    assert compute_mac(k, b"b") != first  # distinct data, fresh tag
+    assert verify_mac(k, b"a", first)

@@ -35,3 +35,13 @@ def test_format_wan():
     results = run_wan_sweep(profiles=(LAN,), measure_s=0.1)
     text = format_wan(results)
     assert "lan-1gbe" in text and "TPS" in text
+
+
+def test_sweep_intercontinental_profile_smoke():
+    # 20 x RTT (3 s) exceeds the default 2 s retransmit backoff cap, so the
+    # sweep must raise the cap with the interval for the config to be valid.
+    results = run_wan_sweep(profiles=(INTERCONTINENTAL,), measure_s=1.0)
+    profile, measurement = results[0]
+    assert profile is INTERCONTINENTAL
+    assert measurement.completed > 0
+    assert measurement.p50_latency_ns > 3 * profile.one_way_latency_ns

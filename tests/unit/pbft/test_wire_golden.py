@@ -10,10 +10,10 @@ changed and must be a deliberate, versioned decision — regenerate the
 vectors only in that case.
 """
 
+import dataclasses
 import os
 import sys
 
-from repro.common.hotpath import hotpath_caches
 from repro.crypto.digests import md5_digest
 from repro.pbft.messages import decode_message
 
@@ -133,8 +133,12 @@ def test_golden_vectors_decode_back_to_the_samples():
 
 
 def test_memoized_wire_matches_golden_in_both_cache_modes():
-    for enabled in (False, True):
-        with hotpath_caches(enabled):
-            for msg in sample_messages():
-                wire_hex, _ = GOLDEN[type(msg).__name__]
-                assert msg.wire.hex() == wire_hex, (type(msg).__name__, enabled)
+    # Cold: the first ``wire`` access encodes and memoizes.  Warm: later
+    # accesses return the memo.  Both must be the golden bytes.
+    for sample in sample_messages():
+        wire_hex, _ = GOLDEN[type(sample).__name__]
+        msg = dataclasses.replace(sample)  # an equal copy with no memos
+        assert "_wire" not in msg.__dict__, type(msg).__name__
+        for mode in ("cold", "warm"):
+            assert msg.wire.hex() == wire_hex, (type(msg).__name__, mode)
+        assert msg.__dict__["_wire"] is msg.wire

@@ -124,41 +124,34 @@ def test_events_run_counter_skips_cancelled():
 
 
 def test_anonymous_events_interleave_with_timers_in_order():
-    from repro.common.hotpath import hotpath_caches
-
-    with hotpath_caches(True):
-        sim = Simulator()
-        order = []
-        sim.schedule_anonymous(10, lambda: order.append("anon10"))
-        sim.schedule_at(10, lambda: order.append("timer10"))
-        sim.schedule_anonymous(5, lambda: order.append("anon5"))
-        sim.schedule_at(20, lambda: order.append("timer20"))
-        sim.run_until(100)
+    sim = Simulator()
+    order = []
+    sim.schedule_anonymous(10, lambda: order.append("anon10"))
+    sim.schedule_at(10, lambda: order.append("timer10"))
+    sim.schedule_anonymous(5, lambda: order.append("anon5"))
+    sim.schedule_at(20, lambda: order.append("timer20"))
+    sim.run_until(100)
     # Time order, and same-time ties break by scheduling order — the
     # anonymous fast path shares the Timer path's (when, seq) heap keys.
     assert order == ["anon5", "anon10", "timer10", "timer20"]
 
 
 def test_anonymous_event_in_the_past_rejected():
-    from repro.common.hotpath import hotpath_caches
+    sim = Simulator()
+    sim.schedule_at(50, lambda: None)
+    sim.run_until(60)
+    with pytest.raises(ConfigError):
+        sim.schedule_anonymous(10, lambda: None)
 
-    with hotpath_caches(True):
+
+def test_anonymous_events_counted_like_timers():
+    # A bare callable in the heap is run and counted exactly like a Timer
+    # scheduled through schedule_at.
+    for schedule in ("schedule_anonymous", "schedule_at"):
         sim = Simulator()
-        sim.schedule_at(50, lambda: None)
-        sim.run_until(60)
-        with pytest.raises(ConfigError):
-            sim.schedule_anonymous(10, lambda: None)
-
-
-def test_anonymous_events_counted_and_fall_back_when_disabled():
-    from repro.common.hotpath import hotpath_caches
-
-    for enabled in (True, False):
-        with hotpath_caches(enabled):
-            sim = Simulator()
-            fired = []
-            sim.schedule_anonymous(1, lambda: fired.append(1))
-            sim.schedule_anonymous(2, lambda: fired.append(2))
-            sim.run_until(10)
-            assert fired == [1, 2]
-            assert sim.events_run == 2
+        fired = []
+        getattr(sim, schedule)(1, lambda: fired.append(1))
+        getattr(sim, schedule)(2, lambda: fired.append(2))
+        sim.run_until(10)
+        assert fired == [1, 2]
+        assert sim.events_run == 2

@@ -1,32 +1,34 @@
 """The cost-based planner: predicate extraction, plan choice, golden
-EXPLAIN plans, and the off-vs-on differential identity guarantee."""
+EXPLAIN plans, and result identity with the standard library's sqlite3."""
+
+import sqlite3
 
 import pytest
 
-from repro.common.hotpath import hotpath_caches
 from repro.sqlstate import planner
 from repro.sqlstate.engine import Database
 from repro.sqlstate.parser import parse
+from repro.sqlstate.values import SqlNull
+
+SCHEMA = """
+    CREATE TABLE users (
+        id INTEGER PRIMARY KEY,
+        name TEXT NOT NULL UNIQUE,
+        age INTEGER NOT NULL
+    );
+    CREATE INDEX idx_users_age ON users(age);
+    CREATE TABLE pets (
+        id INTEGER PRIMARY KEY,
+        owner INTEGER NOT NULL,
+        species TEXT NOT NULL
+    );
+    CREATE INDEX idx_pets_owner ON pets(owner);
+"""
 
 
 def make_db():
     db = Database()
-    db.executescript(
-        """
-        CREATE TABLE users (
-            id INTEGER PRIMARY KEY,
-            name TEXT NOT NULL UNIQUE,
-            age INTEGER NOT NULL
-        );
-        CREATE INDEX idx_users_age ON users(age);
-        CREATE TABLE pets (
-            id INTEGER PRIMARY KEY,
-            owner INTEGER NOT NULL,
-            species TEXT NOT NULL
-        );
-        CREATE INDEX idx_pets_owner ON pets(owner);
-        """
-    )
+    db.executescript(SCHEMA)
     return db
 
 
@@ -114,13 +116,12 @@ class TestPlanChoice:
     def test_empty_table_choice_is_metric_neutral(self):
         # At rows=0 the probe and seq costs tie and seq wins; that is fine
         # only because both paths scan zero rows, so the simulated
-        # rows_scanned metric cannot diverge from the naive path.
+        # rows_scanned metric is the same whichever one runs.
         db = make_db()
         plan = planner.plan_scan(db.catalog, *select_where(
             db, "SELECT * FROM users WHERE name = 'nobody'"))
         assert plan.method == "seq"
-        with hotpath_caches(True):
-            assert db.execute("SELECT * FROM users WHERE name = 'nobody'").rows == []
+        assert db.execute("SELECT * FROM users WHERE name = 'nobody'").rows == []
         assert db.executor.rows_scanned == 0
 
 
@@ -224,55 +225,79 @@ QUERIES = [
 ]
 
 
-class TestDifferentialIdentity:
-    """The planner must be invisible in the results: every query returns
-    bit-identical rows with the hot path off and on."""
+# Ranged DML, then full dumps: writes must land identically.
+STATEMENTS = QUERIES + [
+    ("UPDATE users SET age = age + 1 WHERE age BETWEEN 25 AND 28", ()),
+    ("DELETE FROM users WHERE age > 47", ()),
+    ("SELECT * FROM users ORDER BY id", ()),
+    ("SELECT * FROM pets ORDER BY id", ()),
+]
 
-    def run_all(self, optimized):
-        with hotpath_caches(optimized):
-            db = make_db()
-            populate(db)
-            out = []
-            for sql, params in QUERIES:
-                out.append(db.execute(sql, params).rows)
-            # Ranged DML, then a full dump: writes must land identically.
-            out.append(db.execute("UPDATE users SET age = age + 1 "
-                                  "WHERE age BETWEEN 25 AND 28"))
-            out.append(db.execute("DELETE FROM users WHERE age > 47"))
-            out.append(db.execute("SELECT * FROM users ORDER BY id").rows)
-            out.append(db.execute("SELECT * FROM pets ORDER BY id").rows)
+
+class TestDifferentialIdentity:
+    """The planner must be invisible in the results: on the same schema
+    and data, every statement returns what the standard library's sqlite3
+    returns.  Rows of a statement without ORDER BY compare as multisets,
+    since SQL leaves their order unspecified."""
+
+    def run_all(self, execute):
+        out = []
+        for sql, params in STATEMENTS:
+            result = execute(sql, params)
+            if isinstance(result, list) and "ORDER BY" not in sql:
+                result = sorted(result, key=repr)
+            out.append(result)
         return out
 
-    def test_off_and_on_agree(self):
-        assert self.run_all(False) == self.run_all(True)
+    def test_engine_agrees_with_sqlite3(self):
+        db = make_db()
+        populate(db)
+
+        def engine(sql, params):
+            result = db.execute(sql, params)
+            if isinstance(result, int):
+                return result
+            return [
+                tuple(None if v is SqlNull else v for v in row) for row in result.rows
+            ]
+
+        conn = sqlite3.connect(":memory:")
+        conn.executescript(SCHEMA)
+        populate(conn)
+
+        def reference(sql, params):
+            cursor = conn.execute(sql, params)
+            return cursor.fetchall() if cursor.description else cursor.rowcount
+
+        try:
+            assert self.run_all(engine) == self.run_all(reference)
+        finally:
+            conn.close()
 
 
 class TestPlanInvalidation:
     def test_dropping_the_index_mid_stream_keeps_answers_correct(self):
-        with hotpath_caches(True):
-            db = make_db()
-            populate(db)
-            q = "SELECT id FROM users WHERE age = ? ORDER BY id"
-            before = db.execute(q, (25,)).rows
-            db.execute("DROP INDEX idx_users_age")
-            assert db.execute(q, (25,)).rows == before
+        db = make_db()
+        populate(db)
+        q = "SELECT id FROM users WHERE age = ? ORDER BY id"
+        before = db.execute(q, (25,)).rows
+        db.execute("DROP INDEX idx_users_age")
+        assert db.execute(q, (25,)).rows == before
 
     def test_new_index_is_picked_up_by_cached_statements(self):
-        with hotpath_caches(True):
-            db = make_db()
-            populate(db)
-            q = "SELECT id FROM pets WHERE species = ? ORDER BY id"
-            before = db.execute(q, ("cat",)).rows
-            db.execute("CREATE INDEX idx_pets_species ON pets(species)")
-            lookups = db.executor.index_lookups
-            assert db.execute(q, ("cat",)).rows == before
-            assert db.executor.index_lookups > lookups
+        db = make_db()
+        populate(db)
+        q = "SELECT id FROM pets WHERE species = ? ORDER BY id"
+        before = db.execute(q, ("cat",)).rows
+        db.execute("CREATE INDEX idx_pets_species ON pets(species)")
+        lookups = db.executor.index_lookups
+        assert db.execute(q, ("cat",)).rows == before
+        assert db.executor.index_lookups > lookups
 
     def test_rollback_reverts_planner_visible_state(self):
-        with hotpath_caches(True):
-            db = make_db()
-            populate(db, users=10, pets=0)
-            db.execute("BEGIN")
-            db.execute("DELETE FROM users WHERE age > 0")
-            db.execute("ROLLBACK")
-            assert db.execute("SELECT COUNT(*) FROM users").scalar() == 10
+        db = make_db()
+        populate(db, users=10, pets=0)
+        db.execute("BEGIN")
+        db.execute("DELETE FROM users WHERE age > 0")
+        db.execute("ROLLBACK")
+        assert db.execute("SELECT COUNT(*) FROM users").scalar() == 10
