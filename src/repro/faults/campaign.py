@@ -96,47 +96,45 @@ class CampaignResult:
         return [run for run in self.runs if not run.ok]
 
 
-def _start_workload(
-    cluster: Cluster,
-    invoked: list[tuple[int, int]],
-    completed: list[tuple[int, int]],
-    completed_at_ns: list[int],
-    issuing: dict[str, bool],
-) -> None:
+@dataclass
+class CampaignWorkload:
+    """Every client's closed loop of ``PAYLOAD`` ops, and what it observed."""
+
+    invoked: list[tuple[int, int]] = field(default_factory=list)
+    completed: list[tuple[int, int]] = field(default_factory=list)
+    completed_at_ns: list[int] = field(default_factory=list)
+    issuing: bool = True
+
+
+def start_workload(cluster: Cluster) -> CampaignWorkload:
+    """Start one closed loop per client; clearing ``issuing`` ends them."""
+    workload = CampaignWorkload()
     for client in cluster.clients:
 
         def submit(client=client) -> None:
             def done(_res, _lat) -> None:
-                completed.append((client.node_id, req.req_id))
-                completed_at_ns.append(cluster.sim.now)
-                if issuing["on"]:
+                workload.completed.append((client.node_id, req.req_id))
+                workload.completed_at_ns.append(cluster.sim.now)
+                if workload.issuing:
                     submit(client)
 
             req = client.invoke(PAYLOAD, callback=done)
-            invoked.append((client.node_id, req.req_id))
+            workload.invoked.append((client.node_id, req.req_id))
 
         submit()
+    return workload
 
 
-def _execute(
-    schedule: FaultSchedule,
-    seed: int,
-    config: PbftConfig,
+def run_phases(
+    cluster: Cluster,
+    injector: FaultInjector,
+    workload: CampaignWorkload,
     run_ns: int,
     drain_ns: int,
     settle_ns: int,
-    trace: bool,
-) -> tuple[RunResult, Cluster]:
-    obs = Observability(tracing=trace)
-    cluster = build_cluster(config, seed=seed, real_crypto=False, obs=obs)
-    injector = FaultInjector(cluster, schedule)
-    invoked: list[tuple[int, int]] = []
-    completed: list[tuple[int, int]] = []
-    completed_at_ns: list[int] = []
-    issuing = {"on": True}
-    _start_workload(cluster, invoked, completed, completed_at_ns, issuing)
+) -> None:
+    """Start the injector, then run, drain and settle; stop everything."""
     injector.start()
-
     step = 10 * MILLISECOND
     # Main phase: at least run_ns, extended until every fault has applied
     # and healed (bounded so a never-firing trigger cannot hang the run).
@@ -153,7 +151,7 @@ def _execute(
         )
 
     # Drain: stop issuing new work, let in-flight operations finish.
-    issuing["on"] = False
+    workload.issuing = False
     drain_deadline = cluster.sim.now + drain_ns
     while (
         any(client.pending is not None for client in cluster.clients)
@@ -167,20 +165,43 @@ def _execute(
     injector.stop()
     cluster.stop_clients()
 
-    violations = (
+
+def check_invariants(
+    cluster: Cluster, injector: FaultInjector, workload: CampaignWorkload
+) -> list[Violation]:
+    """The six single-group invariants, checked after a run."""
+    return (
         check_agreement(cluster)
-        + check_no_committed_loss(cluster, completed)
+        + check_no_committed_loss(cluster, workload.completed)
         + check_checkpoint_monotone(injector.stability_samples)
-        + check_liveness(cluster, invoked, completed)
-        + check_flood_liveness(injector.client_fault_windows, completed_at_ns)
+        + check_liveness(cluster, workload.invoked, workload.completed)
+        + check_flood_liveness(
+            injector.client_fault_windows, workload.completed_at_ns
+        )
         + check_membership_safety(cluster)
     )
+
+
+def _execute(
+    schedule: FaultSchedule,
+    seed: int,
+    config: PbftConfig,
+    run_ns: int,
+    drain_ns: int,
+    settle_ns: int,
+    trace: bool,
+) -> tuple[RunResult, Cluster]:
+    obs = Observability(tracing=trace)
+    cluster = build_cluster(config, seed=seed, real_crypto=False, obs=obs)
+    injector = FaultInjector(cluster, schedule)
+    workload = start_workload(cluster)
+    run_phases(cluster, injector, workload, run_ns, drain_ns, settle_ns)
     result = RunResult(
         schedule=schedule.name,
         seed=seed,
-        violations=violations,
-        invoked_ops=len(invoked),
-        completed_ops=len(completed),
+        violations=check_invariants(cluster, injector, workload),
+        invoked_ops=len(workload.invoked),
+        completed_ops=len(workload.completed),
         max_view=max(r.view for r in cluster.replicas),
         sim_time_ns=cluster.sim.now,
         fault_log=list(injector.log),

@@ -37,13 +37,7 @@ from repro.harness.batching import (
     format_batching,
     run_batching_sweep,
 )
-from repro.harness.overload import (
-    OverloadPoint,
-    OverloadSweep,
-    estimate_capacity,
-    overload_config,
-    run_overload_sweep,
-)
+from repro.harness.overload import estimate_capacity, overload_config
 from repro.harness.reporting import (
     format_table1,
     format_fig4,
@@ -51,7 +45,6 @@ from repro.harness.reporting import (
     format_acid,
     format_aggregate_overload,
     format_campaign,
-    format_overload,
 )
 from repro.harness.workload import (
     SCENARIOS,
@@ -116,12 +109,8 @@ __all__ = [
     "run_shard_scaling_point",
     "run_shard_sql_mix",
     "shard_bench_config",
-    "OverloadPoint",
-    "OverloadSweep",
     "estimate_capacity",
     "overload_config",
-    "run_overload_sweep",
-    "format_overload",
     "format_aggregate_overload",
     "SCENARIOS",
     "AggregatePoint",

@@ -12,7 +12,12 @@ from repro.harness.configs import (
     ConfigRow,
     build_config,
 )
-from repro.harness.measure import Measurement, run_null_workload, run_sql_workload
+from repro.harness.measure import (
+    Measurement,
+    _start_closed_loop,
+    run_null_workload,
+    run_sql_workload,
+)
 from repro.net.fabric import DropRule
 from repro.pbft.cluster import build_cluster
 from repro.pbft.config import PbftConfig
@@ -149,14 +154,7 @@ def run_recovery_experiment(
     )
     cluster = build_cluster(config, seed=seed, real_crypto=False)
     payload = bytes(256)
-
-    def loop(client):
-        def done(_res, _lat):
-            client.invoke(payload, callback=done)
-        client.invoke(payload, callback=done)
-
-    for client in cluster.clients:
-        loop(client)
+    _start_closed_loop(cluster, lambda _i, _s: (payload, False))
 
     victim = cluster.replicas[3]  # a backup (primary is replica 0 in view 0)
     cluster.run_for(int(crash_at_s * SECOND))
@@ -240,14 +238,7 @@ def run_packet_loss_experiment(
         dropped_kind = "client→primary request"
     cluster.fabric.add_drop_rule(rule)
     payload = bytes(512)
-
-    def loop(client):
-        def done(_res, _lat):
-            client.invoke(payload, callback=done)
-        client.invoke(payload, callback=done)
-
-    for client in cluster.clients:
-        loop(client)
+    _start_closed_loop(cluster, lambda _i, _s: (payload, False))
     cluster.run_for(int(run_for_s * SECOND))
 
     victim = cluster.replicas[3]

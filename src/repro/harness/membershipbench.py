@@ -30,17 +30,13 @@ from dataclasses import dataclass
 from math import comb
 
 from repro.common.units import MILLISECOND, SECOND
-from repro.faults.campaign import PAYLOAD, campaign_config
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import (
-    Violation,
-    check_agreement,
-    check_checkpoint_monotone,
-    check_flood_liveness,
-    check_liveness,
-    check_membership_safety,
-    check_no_committed_loss,
+from repro.faults.campaign import (
+    campaign_config,
+    check_invariants,
+    run_phases,
+    start_workload,
 )
+from repro.faults.injector import FaultInjector
 from repro.faults.schedule import (
     FaultSchedule,
     LinkDisturbance,
@@ -49,7 +45,7 @@ from repro.faults.schedule import (
     Trigger,
 )
 from repro.obs import Observability
-from repro.pbft.cluster import Cluster, build_cluster
+from repro.pbft.cluster import build_cluster
 
 
 @dataclass(frozen=True)
@@ -90,38 +86,19 @@ def _run_with_injector(
     seed: int,
     sample_window: tuple[int, int] | None,
     run_ns: int,
-    drain_ns: int = 3 * SECOND,
-    settle_ns: int = 400 * MILLISECOND,
 ):
-    """Campaign-style run with per-instant quorum-availability sampling.
+    """Campaign run with per-instant quorum-availability sampling.
 
-    Returns (cluster, injector, invoked, completed, completed_at_ns,
-    samples) where ``samples`` are booleans — ">= 2f+1 replicas live" at
-    2 ms intervals inside ``sample_window``.
+    Returns (cluster, workload, violations, samples) where ``samples``
+    are booleans — ">= 2f+1 replicas live" at 2 ms intervals inside
+    ``sample_window``.
     """
     config = campaign_config()
     cluster = build_cluster(
         config, seed=seed, real_crypto=False, obs=Observability()
     )
     injector = FaultInjector(cluster, schedule)
-    invoked: list[tuple[int, int]] = []
-    completed: list[tuple[int, int]] = []
-    completed_at_ns: list[int] = []
-    issuing = {"on": True}
-
-    for client in cluster.clients:
-
-        def submit(client=client) -> None:
-            def done(_res, _lat) -> None:
-                completed.append((client.node_id, req.req_id))
-                completed_at_ns.append(cluster.sim.now)
-                if issuing["on"]:
-                    submit(client)
-
-            req = client.invoke(PAYLOAD, callback=done)
-            invoked.append((client.node_id, req.req_id))
-
-        submit()
+    workload = start_workload(cluster)
 
     samples: list[bool] = []
     if sample_window is not None:
@@ -139,42 +116,12 @@ def _run_with_injector(
 
         cluster.sim.schedule(start, sample)
 
-    injector.start()
-    step = 10 * MILLISECOND
-    deadline = cluster.sim.now + run_ns
-    hard_cap = deadline + drain_ns
-    while cluster.sim.now < deadline or (
-        not injector.quiescent and cluster.sim.now < hard_cap
-    ):
-        cluster.run_for(step)
-    issuing["on"] = False
-    drain_deadline = cluster.sim.now + drain_ns
-    while (
-        any(client.pending is not None for client in cluster.clients)
-        and cluster.sim.now < drain_deadline
-    ):
-        cluster.run_for(step)
-    cluster.run_for(settle_ns)
-    injector.stop()
-    cluster.stop_clients()
-    return cluster, injector, invoked, completed, completed_at_ns, samples
-
-
-def _check_all(
-    cluster: Cluster,
-    injector: FaultInjector,
-    invoked,
-    completed,
-    completed_at_ns,
-) -> list[Violation]:
-    return (
-        check_agreement(cluster)
-        + check_no_committed_loss(cluster, completed)
-        + check_checkpoint_monotone(injector.stability_samples)
-        + check_liveness(cluster, invoked, completed)
-        + check_flood_liveness(injector.client_fault_windows, completed_at_ns)
-        + check_membership_safety(cluster)
+    run_phases(
+        cluster, injector, workload,
+        run_ns=run_ns, drain_ns=3 * SECOND, settle_ns=400 * MILLISECOND,
     )
+    violations = check_invariants(cluster, injector, workload)
+    return cluster, workload, violations, samples
 
 
 def run_markov_scenario(
@@ -199,16 +146,11 @@ def run_markov_scenario(
             for rid in range(campaign_config().n)
         ),
     )
-    cluster, injector, invoked, completed, completed_at_ns, samples = (
-        _run_with_injector(
-            schedule,
-            seed,
-            sample_window=(start_ns, start_ns + churn_ns),
-            run_ns=start_ns + churn_ns,
-        )
-    )
-    violations = _check_all(
-        cluster, injector, invoked, completed, completed_at_ns
+    cluster, workload, violations, samples = _run_with_injector(
+        schedule,
+        seed,
+        sample_window=(start_ns, start_ns + churn_ns),
+        run_ns=start_ns + churn_ns,
     )
     predicted = analytic_availability(
         cluster.config.f, scenario.mean_up_ns, scenario.mean_down_ns
@@ -216,7 +158,7 @@ def run_markov_scenario(
     measured = (sum(samples) / len(samples)) if samples else 0.0
     in_window = sum(
         1
-        for t in completed_at_ns
+        for t in workload.completed_at_ns
         if start_ns <= t <= start_ns + churn_ns
     )
     return {
@@ -230,7 +172,7 @@ def run_markov_scenario(
         "measured_availability": measured,
         "availability_ratio": (measured / predicted) if predicted else 0.0,
         "goodput_in_window_ops_per_s": in_window / (churn_ns / SECOND),
-        "completed_ops": len(completed),
+        "completed_ops": len(workload.completed),
         "violations": [str(v) for v in violations],
     }
 
@@ -263,19 +205,14 @@ def run_replace_scenario(seed: int = 1, loss: float = 0.0) -> dict:
         description="ordered replica replace mid-workload",
         faults=faults,
     )
-    cluster, injector, invoked, completed, completed_at_ns, _ = (
-        _run_with_injector(
-            schedule, seed, sample_window=None, run_ns=2000 * MILLISECOND
-        )
-    )
-    violations = _check_all(
-        cluster, injector, invoked, completed, completed_at_ns
+    cluster, workload, violations, _ = _run_with_injector(
+        schedule, seed, sample_window=None, run_ns=2000 * MILLISECOND
     )
 
     def goodput(lo: int, hi: int) -> float:
         if hi <= lo:
             return 0.0
-        ops = sum(1 for t in completed_at_ns if lo <= t < hi)
+        ops = sum(1 for t in workload.completed_at_ns if lo <= t < hi)
         return ops / ((hi - lo) / SECOND)
 
     before = goodput(0, warmup_ns)
@@ -290,7 +227,7 @@ def run_replace_scenario(seed: int = 1, loss: float = 0.0) -> dict:
         "goodput_before_ops_per_s": before,
         "goodput_during_ops_per_s": during,
         "goodput_after_ops_per_s": after,
-        "completed_ops": len(completed),
+        "completed_ops": len(workload.completed),
         "replaced_replica_last_exec": new_replica.last_exec,
         "replaced_replica_epoch": new_replica.reconfig.epoch,
         "epochs": [r.reconfig.epoch for r in cluster.replicas],

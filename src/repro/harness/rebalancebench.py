@@ -34,13 +34,13 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.apps.kvstore import encode_put
 from repro.common.units import MILLISECOND, SECOND
+from repro.harness.shardbench import shard_bench_config, start_put_loop
 from repro.pbft.config import PbftConfig
 from repro.shard.directory import ShardDirectory, key_position
+from repro.shard.router import ShardRouter
 from repro.shard.topology import ShardedCluster, build_sharded_cluster
 
-PAYLOAD = bytes(128)
 _KEYS_PER_ROUTER = 16  # bounded per-router key set: the store never fills
 
 # The moving sub-range is the lower half of the hot range; the hot range
@@ -51,11 +51,6 @@ _KEYS_PER_ROUTER = 16  # bounded per-router key set: the store never fills
 # the split close to even.
 HOT_LO, HOT_HI = 0, 1 << 30
 MOVE_LO, MOVE_HI = 0, 1 << 29
-
-
-def rebalance_bench_config() -> PbftConfig:
-    """Per-group configuration (routers only, no direct clients)."""
-    return PbftConfig().with_options(num_clients=0)
 
 
 @dataclass
@@ -98,13 +93,14 @@ def _mine_key(tag: str, index: int, lo: int, hi: int) -> bytes:
     raise RuntimeError(f"could not mine key {index} for {tag!r}")
 
 
-def _router_keys(router_id: int) -> list[bytes]:
+def _router_keys(router: ShardRouter) -> list[bytes]:
     """A router's key cycle, by role (router_id % 4).
 
     Mined from raw hash positions (never from a directory), so the live
     run and the evenly-placed control run drive byte-identical key
     streams.
     """
+    router_id = router.router_id
     role = router_id % 4
     if role == 0:  # mover: inside the range being migrated
         lo, hi, tag = MOVE_LO, MOVE_HI, "mover"
@@ -116,22 +112,6 @@ def _router_keys(router_id: int) -> list[bytes]:
         _mine_key(f"r{router_id}-{tag}", i, lo, hi)
         for i in range(_KEYS_PER_ROUTER)
     ]
-
-
-def _start_workload(cluster: ShardedCluster) -> None:
-    def start(router) -> None:
-        keys = _router_keys(router.router_id)
-        state = {"n": 0}
-
-        def submit() -> None:
-            key = keys[state["n"] % len(keys)]
-            state["n"] += 1
-            router.invoke(encode_put(key, PAYLOAD), callback=lambda _r: submit())
-
-        submit()
-
-    for router in cluster.routers:
-        start(router)
 
 
 def _completed(cluster: ShardedCluster) -> int:
@@ -152,7 +132,7 @@ def run_rebalance_bench(
     config: Optional[PbftConfig] = None,
 ) -> RebalanceBenchResult:
     """Measure one live move end to end, then the evenly-placed control."""
-    config = config or rebalance_bench_config()
+    config = config or shard_bench_config()
     warmup_s = 0.1 if smoke else 0.2
     window_s = 0.25 if smoke else 0.5
     start_wall = time.time()
@@ -162,7 +142,7 @@ def run_rebalance_bench(
         2, config=config, seed=seed, real_crypto=False,
         num_routers=num_routers, router_hosts=num_routers,
     )
-    _start_workload(cluster)
+    start_put_loop(cluster, _router_keys)
     cluster.run_for(int(warmup_s * SECOND))
     before_tps = _measure(cluster, window_s)
 
@@ -199,7 +179,7 @@ def run_rebalance_bench(
         num_routers=num_routers, router_hosts=num_routers,
         directory=even_directory,
     )
-    _start_workload(control)
+    start_put_loop(control, _router_keys)
     control.run_for(int(warmup_s * SECOND))
     even_tps = _measure(control, window_s)
     control.stop()

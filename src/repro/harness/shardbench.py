@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.apps.kvstore import encode_put
 from repro.apps.sqlapp import (
@@ -37,7 +37,7 @@ from repro.obs import nearest_rank_percentile
 from repro.pbft.config import PbftConfig
 from repro.shard.campaign import key_for_shard
 from repro.shard.directory import ShardDirectory
-from repro.shard.router import SqlShardCodec
+from repro.shard.router import ShardRouter, SqlShardCodec
 from repro.shard.topology import ShardedCluster, build_sharded_cluster
 
 PAYLOAD = bytes(128)
@@ -109,6 +109,27 @@ def _latency_marks(cluster: ShardedCluster) -> dict:
     }
 
 
+def start_put_loop(
+    cluster: ShardedCluster, keys_of: Callable[[ShardRouter], list[bytes]]
+) -> None:
+    """Every router runs a closed loop of kv puts, cycling through
+    ``keys_of(router)``."""
+
+    def start(router: ShardRouter) -> None:
+        keys = keys_of(router)
+        state = {"n": 0}
+
+        def submit() -> None:
+            key = keys[state["n"] % len(keys)]
+            state["n"] += 1
+            router.invoke(encode_put(key, PAYLOAD), callback=lambda _r: submit())
+
+        submit()
+
+    for router in cluster.routers:
+        start(router)
+
+
 def run_shard_scaling_point(
     num_shards: int,
     routers_per_shard: int = 4,
@@ -135,23 +156,14 @@ def run_shard_scaling_point(
         router_hosts=num_routers,
     )
 
-    def start(router) -> None:
+    def home_keys(router) -> list[bytes]:
         home = router.router_id % num_shards
-        keys = [
+        return [
             key_for_shard(cluster.directory, home, f"r{router.router_id}-k{i}")
             for i in range(_KEYS_PER_ROUTER)
         ]
-        state = {"n": 0}
 
-        def submit() -> None:
-            key = keys[state["n"] % len(keys)]
-            state["n"] += 1
-            router.invoke(encode_put(key, PAYLOAD), callback=lambda _r: submit())
-
-        submit()
-
-    for router in cluster.routers:
-        start(router)
+    start_put_loop(cluster, home_keys)
 
     cluster.run_for(int(warmup_s * SECOND))
     start_completed = sum(r.completed_singles for r in cluster.routers)
@@ -245,32 +257,32 @@ def run_shard_sql_mix(
     for router in cluster.routers:
         start(router)
 
+    def totals() -> dict:
+        routers = cluster.routers
+        return {
+            "singles": sum(r.completed_singles for r in routers),
+            "committed": sum(r.committed_txns for r in routers),
+            "aborted": sum(r.aborted_txns for r in routers),
+            "failed": sum(r.stats["failed_singles"] for r in routers),
+            "conflicts": sum(r.stats["lock_conflicts"] for r in routers),
+        }
+
     cluster.run_for(int(warmup_s * SECOND))
-    base = {
-        "singles": sum(r.completed_singles for r in cluster.routers),
-        "committed": sum(r.committed_txns for r in cluster.routers),
-        "aborted": sum(r.aborted_txns for r in cluster.routers),
-    }
+    base = totals()
     marks = _latency_marks(cluster)
     cluster.run_for(int(measure_s * SECOND))
-    singles = sum(r.completed_singles for r in cluster.routers) - base["singles"]
-    committed = sum(r.committed_txns for r in cluster.routers) - base["committed"]
-    aborted = sum(r.aborted_txns for r in cluster.routers) - base["aborted"]
+    window = {key: value - base[key] for key, value in totals().items()}
     p50, p99 = _percentiles(_router_latencies(cluster, marks))
-    failed = sum(
-        r.stats["failed_singles"] for r in cluster.routers
-    )
-    conflicts = sum(r.stats["lock_conflicts"] for r in cluster.routers)
     cluster.stop()
     return {
         "shards": 2,
         "routers": num_routers,
         "txn_every": txn_every,
-        "singles_tps": round(singles / measure_s, 1),
-        "txn_commit_tps": round(committed / measure_s, 1),
-        "txn_aborted": aborted,
-        "failed_singles": failed,
-        "lock_conflicts": conflicts,
+        "singles_tps": round(window["singles"] / measure_s, 1),
+        "txn_commit_tps": round(window["committed"] / measure_s, 1),
+        "txn_aborted": window["aborted"],
+        "failed_singles": window["failed"],
+        "lock_conflicts": window["conflicts"],
         "sim_p50_latency_us": round(p50 / 1000, 1),
         "sim_p99_latency_us": round(p99 / 1000, 1),
     }

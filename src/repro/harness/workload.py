@@ -46,13 +46,7 @@ from repro.common.units import MILLISECOND, SECOND
 from repro.obs import nearest_rank_percentile
 from repro.pbft.cluster import Cluster, build_cluster
 from repro.pbft.config import PbftConfig
-from repro.harness.overload import (
-    _CLIENT_STATS,
-    _REPLICA_STATS,
-    _snapshot,
-    estimate_capacity,
-    overload_config,
-)
+from repro.harness.overload import estimate_capacity, overload_config
 
 # The library scenarios.  Each names a (timing, picker) pair built by
 # :func:`make_workload`; the sweep runner derives per-cell seeds from the
@@ -60,6 +54,19 @@ from repro.harness.overload import (
 SCENARIOS = ("uniform", "zipfian", "diurnal")
 
 DEFAULT_SIM_CLIENTS = 1_000_000
+
+# Per-replica and per-session overload counters sampled around the
+# measured window.
+_REPLICA_STATS = (
+    "requests_shed",
+    "busy_sent",
+    "inflight_capped",
+    "waiting_shed",
+    "duplicate_inflight",
+    "oversized_rejected",
+    "penalty_box_drops",
+)
+_CLIENT_STATS = ("busy_received", "busy_retries", "retransmissions")
 
 
 # -- arrival timing -----------------------------------------------------------------
@@ -288,8 +295,8 @@ class AggregateWorkload:
         sim_client = self.picker.pick(self.rng)
         if sim_client in self.inflight:
             # The simulated client still has its one allowed operation
-            # outstanding: the tick is suppressed at the source, exactly
-            # like the per-client-object open loop's full outbox.
+            # outstanding (the middleware allows one per client): the
+            # tick is suppressed at the source.
             self.busy_skips += 1
         elif not self.free:
             # Offered load beyond the transport's concurrency: every
@@ -381,6 +388,17 @@ def make_workload(
 
 
 # -- measured points and sweeps -----------------------------------------------------
+
+
+def _snapshot(cluster: Cluster) -> tuple[dict, dict, int]:
+    replica = {
+        key: sum(r.stats[key] for r in cluster.replicas) for key in _REPLICA_STATS
+    }
+    client = {
+        key: sum(c.stats[key] for c in cluster.clients) for key in _CLIENT_STATS
+    }
+    views = sum(r.stats["view_changes_started"] for r in cluster.replicas)
+    return replica, client, views
 
 
 @dataclass

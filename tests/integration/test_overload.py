@@ -1,26 +1,32 @@
 """The open-loop overload sweep: graceful degradation, determinism."""
 
-from repro.harness.overload import overload_config, run_overload_sweep
+import pytest
+
+from repro.harness.workload import run_aggregate_overload_sweep
 from repro.pbft.cluster import build_cluster
 from repro.pbft.config import PbftConfig
 from repro.pbft.messages import PrePrepare, Request
 
 
-def mini_sweep(multipliers=(1.0, 2.0), capacity_tps=26000.0):
+def mini_sweep():
     """A CI-sized sweep: pinned capacity (skips the closed-loop estimate),
-    short windows, the stock overload cluster."""
-    return run_overload_sweep(
-        config=overload_config(),
-        multipliers=multipliers,
+    short windows, the stock overload cluster, uniform arrivals."""
+    return run_aggregate_overload_sweep(
+        scenario="uniform",
+        multipliers=(0.5, 1.0, 2.0),
         warmup_s=0.15,
         measure_s=0.2,
         seed=3,
-        capacity_tps=capacity_tps,
+        capacity_tps=26000.0,
     )
 
 
-def test_goodput_degrades_gracefully_past_saturation():
-    sweep = mini_sweep()
+@pytest.fixture(scope="module")
+def sweep():
+    return mini_sweep()
+
+
+def test_goodput_degrades_gracefully_past_saturation(sweep):
     at_1x = sweep.point_at(1.0)
     at_2x = sweep.point_at(2.0)
     # Doubling offered load must not collapse goodput...
@@ -31,19 +37,18 @@ def test_goodput_degrades_gracefully_past_saturation():
     assert at_2x.shed > 0
     assert at_2x.busy_replies >= at_2x.shed
     assert at_2x.client_stats["busy_received"] > 0
-    assert at_2x.source_drops > 0
+    assert at_2x.session_drops > 0
     # Overload never destabilizes the group into view changes.
     assert at_2x.view_changes == 0
 
 
-def test_sweep_is_deterministic():
-    first = mini_sweep()
-    second = mini_sweep()
-    for a, b in zip(first.points, second.points):
+def test_sweep_is_deterministic(sweep):
+    again = mini_sweep()
+    for a, b in zip(sweep.points, again.points):
         assert a.goodput_tps == b.goodput_tps
         assert a.replica_stats == b.replica_stats  # identical shed sets
         assert a.client_stats == b.client_stats
-        assert a.source_drops == b.source_drops
+        assert (a.busy_skips, a.session_drops) == (b.busy_skips, b.session_drops)
         assert (a.p50_latency_ns, a.p99_latency_ns) == (
             b.p50_latency_ns, b.p99_latency_ns
         )
@@ -79,8 +84,7 @@ def test_backup_body_store_bounds_only_unordered_bodies():
     assert backup.stats["waiting_shed"] == 1
 
 
-def test_underload_sees_no_backpressure():
-    sweep = mini_sweep(multipliers=(0.5,))
+def test_underload_sees_no_backpressure(sweep):
     point = sweep.point_at(0.5)
     # Below saturation the pipeline is invisible: nothing shed, no BUSY.
     assert point.shed == 0

@@ -10,8 +10,9 @@ import pytest
 from repro.harness.sweeprunner import merged_json
 from repro.harness.workload import run_aggregate_overload_sweep
 
-# Pinned closed-loop capacity of overload_config(), as elsewhere: keeps
-# the cells identical across runs without an estimator run per test.
+# A pinned 1x anchor: overload_config()'s closed-loop capacity at seed 3
+# (estimate_capacity gives 26 842 ops/s), rounded down, so no test pays
+# for an estimator run.
 CAPACITY_TPS = 26_000.0
 
 SWEEP_KWARGS = dict(

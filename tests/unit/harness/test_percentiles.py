@@ -1,15 +1,16 @@
 """Regression tests for the shared nearest-rank percentile.
 
-``overload.py`` used to carry its own ``_percentile`` reimplementation,
-which had quietly drifted from the harness's nearest-rank definition —
-these tests pin every percentile consumer to the single shared
-implementation in :mod:`repro.obs`.
+The open-loop overload harness used to carry its own ``_percentile``
+reimplementation, which had quietly drifted from the harness's
+nearest-rank definition — these tests pin every percentile consumer to
+the single shared implementation in :mod:`repro.obs`.
 """
 
 import pytest
 
 import repro.harness.overload as overload_module
 import repro.harness.shardbench as shardbench_module
+import repro.harness.workload as workload_module
 from repro.common.errors import ConfigError
 from repro.harness.measure import Measurement
 from repro.obs import nearest_rank_percentile
@@ -48,9 +49,11 @@ class TestNearestRank:
 
 class TestSingleImplementation:
     def test_overload_duplicate_is_gone(self):
-        # The drifted private copy must not come back.
-        assert not hasattr(overload_module, "_percentile")
-        assert overload_module.nearest_rank_percentile is nearest_rank_percentile
+        # The drifted private copy must not come back; the open-loop
+        # engine's window percentiles use the shared function.
+        for module in (overload_module, workload_module, shardbench_module):
+            assert not hasattr(module, "_percentile")
+        assert workload_module.nearest_rank_percentile is nearest_rank_percentile
 
     def test_shardbench_routes_through_shared(self):
         assert (

@@ -24,8 +24,9 @@ from repro.harness.workload import (
     run_aggregate_point,
 )
 
-# Pinned closed-loop capacity of overload_config() (same anchor the
-# integration overload tests pin): keeps these tests off the estimator.
+# A pinned 1x anchor: overload_config()'s closed-loop capacity at seed 3
+# (estimate_capacity gives 26 842 ops/s), rounded down, so no test pays
+# for an estimator run.
 CAPACITY_TPS = 26_000.0
 MILLION = 1_000_000
 
