@@ -33,42 +33,8 @@ import sys
 import time
 
 from repro.common.units import MILLISECOND
-from repro.harness import format_campaign, run_fault_campaign
-
-
-def run_campaign_parallel(seeds, artifact_dir, timings, workers):
-    """The same schedule × seed grid, farmed through the sweep runner."""
-    from repro.faults import builtin_schedules
-    from repro.faults.campaign import CampaignResult, RunResult
-    from repro.harness import SweepCell, run_cells
-
-    params = dict(timings)
-    if artifact_dir is not None:
-        params["artifact_dir"] = artifact_dir
-    cells = [
-        SweepCell(
-            kind="fault-schedule",
-            scenario=schedule.name,
-            params={"schedule": schedule.name, **params},
-            seed=seed,
-        )
-        for schedule in builtin_schedules()
-        for seed in seeds
-    ]
-    results = run_cells(cells, base_seed=seeds[0], workers=workers)
-    return CampaignResult(runs=[
-        RunResult(
-            schedule=r["schedule"],
-            seed=r["seed"],
-            violations=r["violations"],
-            invoked_ops=r["invoked_ops"],
-            completed_ops=r["completed_ops"],
-            max_view=r["max_view"],
-            sim_time_ns=r["sim_time_ns"],
-            artifacts=r["artifacts"],
-        )
-        for r in results
-    ])
+from repro.faults import CampaignResult, builtin_schedules, run_schedule
+from repro.harness import SweepCell, format_campaign, run_cells
 
 
 def main() -> int:
@@ -102,15 +68,22 @@ def main() -> int:
         if args.smoke
         else {}
     )
+    cells = [
+        SweepCell(
+            fn=run_schedule,
+            scenario=schedule.name,
+            params=dict(
+                schedule=schedule, artifact_dir=args.artifacts, **timings
+            ),
+            seed=seed,
+        )
+        for schedule in builtin_schedules()
+        for seed in seeds
+    ]
     start = time.time()
-    if args.workers > 1:
-        campaign = run_campaign_parallel(
-            seeds, args.artifacts, timings, args.workers
-        )
-    else:
-        campaign = run_fault_campaign(
-            seeds=seeds, artifact_dir=args.artifacts, **timings
-        )
+    campaign = CampaignResult(
+        runs=run_cells(cells, base_seed=seeds[0], workers=args.workers)
+    )
     wall = time.time() - start
 
     print(format_campaign(campaign))

@@ -3,22 +3,30 @@
 
 Every scenario drives four routers (every fourth operation a cross-shard
 transaction on deliberately colliding hot keys) against two full PBFT
-groups while faults hit one group or the routing tier itself:
+groups while faults hit one group, the routing tier, or a live
+migration:
 
 * the replica-fault schedules the single-group campaign already runs
   (primary crash/restart, primary partition, lossy links, equivocation,
   flooding client), re-aimed at shard 0;
 * router faults unique to sharding — coordinator crash mid-prepare,
   coordinator crash after the decision is durable, and a participant
-  shard partitioned past the prepare timeout.
+  shard partitioned past the prepare timeout;
+* the migration battery — a ``ShardRebalancer`` moves a quarter of the
+  hash space from shard 0 to shard 1 mid-run while its driver crashes
+  after FREEZE, the copy or ACTIVATE (a successor must resume and finish
+  the move exactly once), a primary on either side crashes, or a replica
+  churns through the freeze/copy window.
 
-After each run all six invariants are checked, including cross-shard
-atomicity: no transaction may end committed on one shard and aborted on
-another.  A failing run is re-executed with tracing and dumps forensics
-under ``--artifacts``.
+After each run all eight invariants are checked, including cross-shard
+atomicity (no transaction ends committed on one shard and aborted on
+another) and migration safety (every committed write is readable at its
+unit's current owner, and only there).  A failing run is re-executed
+with tracing and dumps forensics under ``--artifacts``.
 
 Run:  python examples/shard_campaign.py [--smoke] [--seeds N] [--artifacts DIR]
-      --smoke runs three scenarios at one seed (the CI-sized sweep).
+      --smoke runs six scenarios at one seed plus the pinned churn
+      regression seed — the CI-sized sweep.
 Exits non-zero if any invariant was violated.
 """
 
@@ -28,15 +36,22 @@ import time
 
 from repro.common.units import MILLISECOND
 from repro.harness import format_campaign
-from repro.shard import run_shard_campaign, shard_scenarios, smoke_scenarios
+from repro.shard import (
+    CHURN_REGRESSION_SEED,
+    run_shard_campaign,
+    run_shard_scenario,
+    shard_scenarios,
+    smoke_scenarios,
+)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="baseline + coordinator crash + participant timeout at one "
-        "seed, shortened phases — the CI-sized sweep",
+        help="baseline, coordinator crash, participant timeout, clean move, "
+        "driver-crash resume and src primary crash at one seed, plus the "
+        "pinned churn seed — the CI-sized sweep",
     )
     parser.add_argument(
         "--seeds", type=int, default=2, metavar="N",
@@ -50,8 +65,9 @@ def main() -> int:
 
     scenarios = smoke_scenarios() if args.smoke else shard_scenarios()
     seeds = [1] if args.smoke else list(range(1, args.seeds + 1))
-    # Smoke timings: the latest fault trigger is at 150 ms, so a 600 ms
-    # run window still exercises every schedule with margin.
+    # Smoke timings: the latest fault trigger is at 150 ms and migrations
+    # start at 100 ms, so a 600 ms run window still exercises every
+    # scenario, and the long drain gives a resumed move room to re-drive.
     timings = (
         dict(run_ns=600 * MILLISECOND, drain_ns=2500 * MILLISECOND)
         if args.smoke
@@ -62,6 +78,21 @@ def main() -> int:
         scenarios=scenarios, seeds=seeds, artifact_dir=args.artifacts,
         **timings,
     )
+    if args.smoke:
+        # The pinned regression: at this seed the churned replica's down
+        # periods overlap the freeze/copy window (verified when the seed
+        # was pinned — see CHURN_REGRESSION_SEED).  The full sweep already
+        # covers the scenario at every seed.
+        churn = next(
+            s for s in shard_scenarios() if s.name == "rebalance-under-churn"
+        )
+        campaign.runs.append(
+            run_shard_scenario(
+                churn, CHURN_REGRESSION_SEED,
+                run_ns=700 * MILLISECOND, drain_ns=2500 * MILLISECOND,
+                artifact_dir=args.artifacts,
+            )
+        )
     wall = time.time() - start
 
     print(format_campaign(campaign))

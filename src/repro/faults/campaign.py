@@ -15,9 +15,11 @@ happens automatically when ``artifact_dir`` is set.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.common.units import MILLISECOND
 from repro.obs import Observability
@@ -100,15 +102,20 @@ class CampaignResult:
 class CampaignWorkload:
     """Every client's closed loop of ``PAYLOAD`` ops, and what it observed."""
 
+    clients: list
     invoked: list[tuple[int, int]] = field(default_factory=list)
     completed: list[tuple[int, int]] = field(default_factory=list)
     completed_at_ns: list[int] = field(default_factory=list)
     issuing: bool = True
 
+    def busy(self) -> bool:
+        """True while some client still waits for a reply (the drain test)."""
+        return any(client.pending is not None for client in self.clients)
+
 
 def start_workload(cluster: Cluster) -> CampaignWorkload:
     """Start one closed loop per client; clearing ``issuing`` ends them."""
-    workload = CampaignWorkload()
+    workload = CampaignWorkload(clients=cluster.clients)
     for client in cluster.clients:
 
         def submit(client=client) -> None:
@@ -126,59 +133,72 @@ def start_workload(cluster: Cluster) -> CampaignWorkload:
 
 
 def run_phases(
-    cluster: Cluster,
-    injector: FaultInjector,
+    cluster,
+    injectors: list[FaultInjector],
     workload: CampaignWorkload,
     run_ns: int,
     drain_ns: int,
     settle_ns: int,
 ) -> None:
-    """Start the injector, then run, drain and settle; stop everything."""
-    injector.start()
+    """Run until every injector is quiescent, drain the workload, settle.
+
+    The caller starts the injectors before and stops them after, so they
+    keep sampling through whatever the caller still runs past the settle.
+    """
     step = 10 * MILLISECOND
     # Main phase: at least run_ns, extended until every fault has applied
     # and healed (bounded so a never-firing trigger cannot hang the run).
     deadline = cluster.sim.now + run_ns
     hard_cap = deadline + drain_ns
     while cluster.sim.now < deadline or (
-        not injector.quiescent and cluster.sim.now < hard_cap
+        not all(injector.quiescent for injector in injectors)
+        and cluster.sim.now < hard_cap
     ):
         cluster.run_for(step)
-    if not injector.quiescent:
-        injector.log.append(
-            f"WARNING: {len(injector.pending)} fault(s) never triggered and "
-            f"{injector.open_heals} heal(s) still open at the hard cap"
-        )
+    for injector in injectors:
+        if not injector.quiescent:
+            injector.log.append(
+                f"WARNING: {len(injector.pending)} fault(s) never triggered "
+                f"and {injector.open_heals} heal(s) still open at the hard cap"
+            )
 
     # Drain: stop issuing new work, let in-flight operations finish.
     workload.issuing = False
     drain_deadline = cluster.sim.now + drain_ns
-    while (
-        any(client.pending is not None for client in cluster.clients)
-        and cluster.sim.now < drain_deadline
-    ):
+    while workload.busy() and cluster.sim.now < drain_deadline:
         cluster.run_for(step)
     # Settle: no client traffic; status gossip catches stragglers up
     # before the committed-loss check examines their watermarks.
     cluster.run_for(settle_ns)
 
-    injector.stop()
-    cluster.stop_clients()
+
+def check_group_invariants(
+    group: Cluster,
+    completed: list[tuple[int, int]],
+    stability_samples,
+) -> list[Violation]:
+    """The per-group invariants #1-3 and #7: agreement, no committed loss,
+    monotone checkpoints, and membership safety."""
+    return (
+        check_agreement(group)
+        + check_no_committed_loss(group, completed)
+        + check_checkpoint_monotone(stability_samples)
+        + check_membership_safety(group)
+    )
 
 
 def check_invariants(
     cluster: Cluster, injector: FaultInjector, workload: CampaignWorkload
 ) -> list[Violation]:
-    """The six single-group invariants, checked after a run."""
+    """The six single-group invariants (#1-5 and #7), checked after a run."""
     return (
-        check_agreement(cluster)
-        + check_no_committed_loss(cluster, workload.completed)
-        + check_checkpoint_monotone(injector.stability_samples)
-        + check_liveness(cluster, workload.invoked, workload.completed)
+        check_group_invariants(
+            cluster, workload.completed, injector.stability_samples
+        )
+        + check_liveness(workload.invoked, workload.completed)
         + check_flood_liveness(
             injector.client_fault_windows, workload.completed_at_ns
         )
-        + check_membership_safety(cluster)
     )
 
 
@@ -195,7 +215,10 @@ def _execute(
     cluster = build_cluster(config, seed=seed, real_crypto=False, obs=obs)
     injector = FaultInjector(cluster, schedule)
     workload = start_workload(cluster)
-    run_phases(cluster, injector, workload, run_ns, drain_ns, settle_ns)
+    injector.start()
+    run_phases(cluster, [injector], workload, run_ns, drain_ns, settle_ns)
+    injector.stop()
+    cluster.stop_clients()
     result = RunResult(
         schedule=schedule.name,
         seed=seed,
@@ -244,6 +267,26 @@ def _dump_artifacts(
     return [trace_path, events_path]
 
 
+def _run_with_forensics(
+    execute: Callable[[bool], tuple[RunResult, object]],
+    trace: bool,
+    artifact_dir: str | None,
+) -> RunResult:
+    """Run ``execute(trace)``; dump forensics if an invariant broke.
+
+    The artifact pass re-executes the identical run with tracing enabled —
+    determinism makes the re-run reproduce the failure, so the trace
+    captures the actual violating execution without paying for tracing on
+    healthy runs.
+    """
+    result, cluster = execute(trace)
+    if result.violations and artifact_dir is not None:
+        if not trace:
+            result, cluster = execute(True)
+        result.artifacts = _dump_artifacts(result, cluster, artifact_dir)
+    return result
+
+
 def run_schedule(
     schedule: FaultSchedule,
     seed: int,
@@ -254,27 +297,15 @@ def run_schedule(
     trace: bool = False,
     artifact_dir: str | None = None,
 ) -> RunResult:
-    """Run one schedule at one seed; dump forensics if an invariant broke.
-
-    The artifact pass re-executes the identical (schedule, seed) pair with
-    tracing enabled — determinism makes the re-run reproduce the failure,
-    so the trace captures the actual violating execution without paying
-    for tracing on healthy runs.
-    """
+    """Run one schedule at one seed; dump forensics if an invariant broke."""
     config = config or campaign_config()
-    result, cluster = _execute(
-        schedule, seed, config, run_ns, drain_ns, settle_ns, trace
+    return _run_with_forensics(
+        functools.partial(
+            _execute, schedule, seed, config, run_ns, drain_ns, settle_ns
+        ),
+        trace,
+        artifact_dir,
     )
-    if result.violations and artifact_dir is not None:
-        if not trace:
-            # Deterministic re-run with the tracer on.
-            traced, cluster = _execute(
-                schedule, seed, config, run_ns, drain_ns, settle_ns, trace=True
-            )
-            traced.artifacts = _dump_artifacts(traced, cluster, artifact_dir)
-            return traced
-        result.artifacts = _dump_artifacts(result, cluster, artifact_dir)
-    return result
 
 
 def run_campaign(

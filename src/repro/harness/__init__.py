@@ -7,12 +7,13 @@
   configurations);
 * section 4.2's ACID vs No-ACID — :func:`run_acid_comparison`;
 * section 2.3's recovery stall — :func:`run_recovery_experiment`;
-* section 2.4's packet-loss wedge — :func:`run_packet_loss_experiment`;
-* the fault-injection campaign — :func:`run_fault_campaign` (schedules ×
-  seeds, four protocol invariants checked after every run).
+* section 2.4's packet-loss wedge — :func:`run_packet_loss_experiment`.
 
 Each returns structured results; :mod:`repro.harness.reporting` renders
-them in the paper's row/series format.
+them in the paper's row/series format.  The fault-injection campaign
+lives in :mod:`repro.faults` (:func:`repro.faults.run_campaign`:
+schedules × seeds, invariants #1-5 and #7 checked after every run);
+:func:`format_campaign` renders it.
 """
 
 from repro.harness.configs import (
@@ -29,7 +30,6 @@ from repro.harness.experiments import (
     run_acid_comparison,
     run_recovery_experiment,
     run_packet_loss_experiment,
-    run_fault_campaign,
 )
 from repro.harness.batching import (
     BatchingPoint,
@@ -59,7 +59,6 @@ from repro.harness.sweeprunner import (
     SweepCell,
     derive_cell_seed,
     merged_json,
-    register_cell_runner,
     run_cells,
 )
 from repro.harness.shardbench import (
@@ -97,7 +96,6 @@ __all__ = [
     "run_acid_comparison",
     "run_recovery_experiment",
     "run_packet_loss_experiment",
-    "run_fault_campaign",
     "BatchingPoint",
     "BatchingSweep",
     "format_batching",
@@ -122,7 +120,6 @@ __all__ = [
     "SweepCell",
     "derive_cell_seed",
     "merged_json",
-    "register_cell_runner",
     "run_cells",
     "format_table1",
     "format_campaign",

@@ -262,30 +262,3 @@ def run_packet_loss_experiment(
     cluster.stop_clients()
     return result
 
-
-def run_fault_campaign(
-    schedules=None,
-    seeds=(1, 2, 3, 4, 5),
-    config: Optional[PbftConfig] = None,
-    artifact_dir: Optional[str] = None,
-    **run_kwargs,
-):
-    """Sweep the fault-injection campaign: schedules × seeds.
-
-    Runs every :class:`repro.faults.FaultSchedule` (the built-in library
-    by default) at every seed and checks the four protocol invariants —
-    agreement, no committed-op loss, monotone checkpoint stability, and
-    client liveness — after each run.  With ``artifact_dir`` set, failing
-    runs are deterministically re-executed with tracing enabled and dump
-    a Chrome trace plus a minimized event log for forensics.  Extra
-    keyword arguments (``run_ns``, ``drain_ns``, ``settle_ns``) pass
-    through to :func:`repro.faults.run_campaign` to resize the phases.
-    """
-    from repro.faults import builtin_schedules, run_campaign
-
-    if schedules is None:
-        schedules = builtin_schedules()
-    return run_campaign(
-        schedules, list(seeds), config=config, artifact_dir=artifact_dir,
-        **run_kwargs,
-    )

@@ -116,10 +116,13 @@ def _run_with_injector(
 
         cluster.sim.schedule(start, sample)
 
+    injector.start()
     run_phases(
-        cluster, injector, workload,
+        cluster, [injector], workload,
         run_ns=run_ns, drain_ns=3 * SECOND, settle_ns=400 * MILLISECOND,
     )
+    injector.stop()
+    cluster.stop_clients()
     violations = check_invariants(cluster, injector, workload)
     return cluster, workload, violations, samples
 

@@ -121,15 +121,16 @@ def format_aggregate_overload(sweep) -> str:
 
 def format_campaign(campaign) -> str:
     """One row per (schedule, seed) run of a fault campaign, worst first."""
+    width = max([len("Schedule")] + [len(run.schedule) for run in campaign.runs])
     header = (
-        f"{'Schedule':26s} {'Seed':>4s} {'Ops':>11s} {'Views':>5s} "
+        f"{'Schedule':{width}s} {'Seed':>4s} {'Ops':>11s} {'Views':>5s} "
         f"{'SimTime':>9s} {'Verdict'}"
     )
     lines = [header, "-" * len(header)]
     for run in sorted(campaign.runs, key=lambda r: (r.ok, r.schedule, r.seed)):
         verdict = "ok" if run.ok else "; ".join(str(v) for v in run.violations)
         lines.append(
-            f"{run.schedule:26s} {run.seed:4d} "
+            f"{run.schedule:{width}s} {run.seed:4d} "
             f"{run.completed_ops}/{run.invoked_ops:<5d} {run.max_view:5d} "
             f"{format_duration(run.sim_time_ns):>9s} {verdict}"
         )

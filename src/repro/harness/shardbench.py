@@ -309,7 +309,7 @@ def run_shard_bench(
     start = time.time()
     cells = [
         SweepCell(
-            kind="shard-scaling",
+            fn=run_shard_scaling_point,
             scenario=f"kv-{shards}shard",
             params=dict(
                 num_shards=shards, warmup_s=warmup_s, measure_s=measure_s
@@ -320,16 +320,15 @@ def run_shard_bench(
     ]
     cells.append(
         SweepCell(
-            kind="shard-sql-mix",
+            fn=run_shard_sql_mix,
             scenario="sql-mix",
             params=dict(warmup_s=warmup_s, measure_s=max(measure_s, 0.3)),
             seed=seed,
         )
     )
     results = run_cells(cells, base_seed=seed, workers=workers)
-    points = [ShardPoint(**result) for result in results[:-1]]
     return ShardBenchResult(
-        points=points, sql=results[-1], wall_s=time.time() - start
+        points=results[:-1], sql=results[-1], wall_s=time.time() - start
     )
 
 

@@ -1,11 +1,11 @@
 """Multi-process sweep runner: farm independent (scenario, seed) cells.
 
 Campaigns and sweeps are embarrassingly parallel — every cell builds its
-own deterministic cluster — yet until this module they ran serially.  A
-*cell* is one unit of sweep work (an aggregate overload point, a fault
-schedule at one seed, a shard-count measurement) described entirely by
-JSON-able parameters, so it can cross a process boundary and its result
-can be merged into a ``BENCH_*.json`` document.
+own deterministic cluster.  A *cell* is one unit of sweep work (an
+aggregate overload point, a fault schedule at one seed, a shard-count
+measurement): the module-level function that measures it plus picklable
+keyword arguments, so it can cross a process boundary and its result
+comes back unchanged.
 
 Two guarantees the tests pin:
 
@@ -29,16 +29,18 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-from repro.common.errors import ConfigError
+from typing import Any, Callable, Optional
 
 
 @dataclass
 class SweepCell:
-    """One unit of sweep work; ``params`` must be picklable and JSON-able."""
+    """One unit of sweep work: ``fn(seed=..., **params)``.
 
-    kind: str                      # registered cell-runner name
+    ``fn`` must be a module-level function and ``params`` picklable, so
+    the cell can cross a process boundary; its result comes back as is.
+    """
+
+    fn: Callable[..., Any]
     scenario: str                  # scenario label, part of seed derivation
     params: dict = field(default_factory=dict)
     seed: Optional[int] = None     # explicit seed; None derives one per cell
@@ -56,94 +58,9 @@ def derive_cell_seed(scenario: str, base_seed: int, index: int) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big") >> 1
 
 
-# -- cell runners -------------------------------------------------------------------
-
-# name -> callable(params: dict, seed: int) -> JSON-able dict
-_RUNNERS: dict[str, Callable[[dict, int], dict]] = {}
-
-
-def register_cell_runner(
-    name: str, fn: Callable[[dict, int], dict], replace: bool = False
-) -> None:
-    if not replace and name in _RUNNERS and _RUNNERS[name] is not fn:
-        raise ConfigError(f"cell runner {name!r} already registered")
-    _RUNNERS[name] = fn
-
-
-def _run_aggregate_overload_cell(params: dict, seed: int) -> dict:
-    from repro.harness.workload import run_aggregate_point
-
-    return run_aggregate_point(seed=seed, **params).to_dict()
-
-
-def _run_fault_schedule_cell(params: dict, seed: int) -> dict:
-    """One (schedule, seed) campaign run, reported as plain data."""
-    from repro.faults import builtin_schedules
-    from repro.faults.campaign import run_schedule
-
-    params = dict(params)
-    name = params.pop("schedule")
-    by_name = {schedule.name: schedule for schedule in builtin_schedules()}
-    if name not in by_name:
-        raise ConfigError(f"unknown fault schedule {name!r}")
-    result = run_schedule(by_name[name], seed, **params)
-    return {
-        "schedule": result.schedule,
-        "seed": result.seed,
-        "violations": [str(v) for v in result.violations],
-        "invoked_ops": result.invoked_ops,
-        "completed_ops": result.completed_ops,
-        "max_view": result.max_view,
-        "sim_time_ns": result.sim_time_ns,
-        "artifacts": list(result.artifacts),
-    }
-
-
-def _run_shard_scaling_cell(params: dict, seed: int) -> dict:
-    from repro.harness.shardbench import run_shard_scaling_point
-
-    point = run_shard_scaling_point(seed=seed, **params)
-    return {
-        "shards": point.shards,
-        "routers": point.routers,
-        "tps": point.tps,
-        "p50_latency_ns": point.p50_latency_ns,
-        "p99_latency_ns": point.p99_latency_ns,
-        "completed": point.completed,
-    }
-
-
-def _run_shard_sql_mix_cell(params: dict, seed: int) -> dict:
-    from repro.harness.shardbench import run_shard_sql_mix
-
-    return run_shard_sql_mix(seed=seed, **params)
-
-
-_BUILTINS: dict[str, Callable[[dict, int], dict]] = {
-    "aggregate-overload": _run_aggregate_overload_cell,
-    "fault-schedule": _run_fault_schedule_cell,
-    "shard-scaling": _run_shard_scaling_cell,
-    "shard-sql-mix": _run_shard_sql_mix_cell,
-}
-
-
-def cell_runner(name: str) -> Callable[[dict, int], dict]:
-    fn = _RUNNERS.get(name) or _BUILTINS.get(name)
-    if fn is None:
-        raise ConfigError(
-            f"unknown cell kind {name!r}; registered: "
-            f"{sorted(set(_RUNNERS) | set(_BUILTINS))}"
-        )
-    return fn
-
-
-# -- running ------------------------------------------------------------------------
-
-
-def _run_cell_task(task: tuple) -> dict:
+def _run_cell(cell: SweepCell, seed: int) -> Any:
     """Top-level so it pickles under any multiprocessing start method."""
-    kind, params, seed = task
-    return cell_runner(kind)(dict(params), seed)
+    return cell.fn(seed=seed, **cell.params)
 
 
 def cell_seeds(cells: list[SweepCell], base_seed: int) -> list[int]:
@@ -157,25 +74,17 @@ def cell_seeds(cells: list[SweepCell], base_seed: int) -> list[int]:
 
 def run_cells(
     cells: list[SweepCell], base_seed: int = 3, workers: int = 1
-) -> list[dict]:
+) -> list:
     """Run every cell; results in cell order regardless of ``workers``.
 
     ``workers <= 1`` runs in-process (no subprocess cost, same results);
-    more farms cells across a process pool.  Registered *custom* runners
-    exist only in this process, so parallel runs of custom kinds rely on
-    the fork start method inheriting them — the built-in kinds resolve in
-    any child.
+    more farms cells across a process pool.
     """
-    tasks = [
-        (cell.kind, cell.params, seed)
-        for cell, seed in zip(cells, cell_seeds(cells, base_seed))
-    ]
-    for kind, _params, _seed in tasks:
-        cell_runner(kind)  # fail fast on unknown kinds, before forking
-    if workers <= 1 or len(tasks) <= 1:
-        return [_run_cell_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(_run_cell_task, tasks))
+    seeds = cell_seeds(cells, base_seed)
+    if workers <= 1 or len(cells) <= 1:
+        return list(map(_run_cell, cells, seeds))
+    with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+        return list(pool.map(_run_cell, cells, seeds))
 
 
 def merged_json(document: dict) -> str:

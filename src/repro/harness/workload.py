@@ -439,9 +439,6 @@ class AggregatePoint:
     def dropped_arrivals(self) -> int:
         return self.busy_skips + self.session_drops
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class AggregateSweep:
@@ -573,7 +570,7 @@ def run_aggregate_overload_sweep(
         )
     cells = [
         SweepCell(
-            kind="aggregate-overload",
+            fn=run_aggregate_point,
             scenario=scenario,
             params=dict(
                 scenario=scenario,
@@ -588,13 +585,11 @@ def run_aggregate_overload_sweep(
         )
         for multiplier in sorted(multipliers)
     ]
-    results = run_cells(cells, base_seed=seed, workers=workers)
-    points = [AggregatePoint(**result) for result in results]
     return AggregateSweep(
         scenario=scenario,
         sim_clients=sim_clients,
         capacity_tps=capacity_tps,
         seed=seed,
         payload_size=payload_size,
-        points=points,
+        points=run_cells(cells, base_seed=seed, workers=workers),
     )

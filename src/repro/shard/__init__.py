@@ -13,7 +13,6 @@ from repro.shard.campaign import (
     key_for_shard,
     prefix_schedule,
     rebalance_scenarios,
-    rebalance_smoke_scenarios,
     run_shard_campaign,
     run_shard_scenario,
     shard_campaign_config,
@@ -54,7 +53,6 @@ __all__ = [
     "key_for_shard",
     "prefix_schedule",
     "rebalance_scenarios",
-    "rebalance_smoke_scenarios",
     "run_shard_campaign",
     "run_shard_scenario",
     "shard_campaign_config",

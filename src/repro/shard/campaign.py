@@ -2,8 +2,9 @@
 
 Reuses the machinery of :mod:`repro.faults` wholesale — one
 :class:`~repro.faults.injector.FaultInjector` per group, the same
-run/drain/settle phases, the same deterministic traced re-run on a
-violation — and extends it with the sharding layer's own concerns:
+run/drain/settle phases, the same per-group invariants, the same
+deterministic traced re-run on a violation — and extends it with the
+sharding layer's own concerns:
 
 * **prefixed schedules** — host-name based faults (partitions, link
   disturbances) written against the single-group names ("replica0",
@@ -18,16 +19,20 @@ violation — and extends it with the sharding layer's own concerns:
   (``after_prepare`` / ``after_decide``) strand a transaction mid-2PC,
   and the run only passes if recovery plus the reconciliation sweep
   restore atomicity;
-* **invariant #6** — after :meth:`ShardedCluster.reconcile`, no
+* **invariants #6 and #8** — after :meth:`ShardedCluster.reconcile`, no
   transaction may have committed on one shard and aborted on another
-  (:func:`repro.faults.invariants.check_cross_shard_atomicity`), on top
-  of the five single-group invariants checked per group.
+  (:func:`repro.faults.invariants.check_cross_shard_atomicity`), and
+  every committed write is readable at its current owner only
+  (:func:`~repro.faults.invariants.check_migration_safety`).  The
+  per-group invariants #1-3 and #7 are checked for every group, and
+  liveness (#4, #5) over the routers' operations: all eight per run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.apps.kvstore import encode_put
@@ -35,20 +40,20 @@ from repro.common.errors import ShardError
 from repro.common.units import MILLISECOND
 from repro.faults.campaign import (
     CampaignResult,
+    CampaignWorkload,
     RunResult,
-    _dump_artifacts,
+    _run_with_forensics,
     campaign_config,
+    check_group_invariants,
+    run_phases,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import (
     Violation,
-    check_agreement,
-    check_checkpoint_monotone,
     check_cross_shard_atomicity,
     check_flood_liveness,
     check_liveness,
     check_migration_safety,
-    check_no_committed_loss,
 )
 from repro.faults.library import (
     equivocating_primary,
@@ -300,35 +305,46 @@ def rebalance_scenarios() -> list[ShardScenario]:
 
 
 def smoke_scenarios() -> list[ShardScenario]:
-    """The CI subset: one healthy run plus the two 2PC-critical paths."""
+    """The CI subset: one healthy run, the two 2PC-critical paths, a clean
+    live move, one driver-crash resume, and a primary crash mid-migration."""
     wanted = {
         "shard-baseline",
         "coordinator-crash-mid-prepare",
         "participant-timeout",
-    }
-    return [s for s in shard_scenarios() if s.name in wanted]
-
-
-def rebalance_smoke_scenarios() -> list[ShardScenario]:
-    """The CI subset of the migration battery: one clean live move, one
-    driver-crash resume, and one primary crash mid-migration."""
-    wanted = {
         "rebalance-live",
         "rebalance-driver-crash-after-copy",
         "rebalance-src-primary-crash",
     }
-    return [s for s in rebalance_scenarios() if s.name in wanted]
+    return [s for s in shard_scenarios() if s.name in wanted]
 
 
-def _start_router_workload(
-    cluster: ShardedCluster,
-    invoked: list[tuple[int, int]],
-    completed: list[tuple[int, int]],
-    completed_at_ns: list[int],
-    issuing: dict[str, bool],
-    inflight: dict[int, tuple[int, int]],
-    committed_writes: dict[bytes, bytes],
-) -> None:
+@dataclass
+class RouterWorkload(CampaignWorkload):
+    """Every router's closed loop, and what it observed.
+
+    ``clients`` are the routers.  ``inflight`` maps a router id to its
+    outstanding logical op; ``committed_writes`` is invariant #8's ledger
+    of the last committed value per key.
+    """
+
+    inflight: dict[int, tuple[int, int]] = field(default_factory=dict)
+    committed_writes: dict[bytes, bytes] = field(default_factory=dict)
+
+    def busy(self) -> bool:
+        # Crashed routers are excused: their stranded transactions are
+        # the point.
+        return any(r.busy for r in self.clients if not r.crashed)
+
+    def live_invoked(self) -> list[tuple[int, int]]:
+        """Invoked ops minus those a crashed router left in flight."""
+        crashed_ids = {r.router_id for r in self.clients if r.crashed}
+        excused = {
+            op for rid, op in self.inflight.items() if rid in crashed_ids
+        }
+        return [op for op in self.invoked if op not in excused]
+
+
+def _start_router_workload(cluster: ShardedCluster) -> RouterWorkload:
     """Closed-loop router workload: singles plus hot-key cross-shard txns.
 
     The hot pairs are shared by every router, so transactions collide:
@@ -337,6 +353,7 @@ def _start_router_workload(
     ``crash_point`` makes its *first* operation a transaction so the
     crash hook fires early and the rest of the run exercises recovery.
     """
+    workload = RouterWorkload(clients=cluster.routers)
     hot_pairs = [
         (
             key_for_shard(cluster.directory, 0, f"hot{j}a"),
@@ -349,13 +366,13 @@ def _start_router_workload(
         state = {"n": 0}
 
         def submit() -> None:
-            if router.crashed or not issuing["on"]:
+            if router.crashed or not workload.issuing:
                 return
             n = state["n"]
             state["n"] += 1
             op_id = (_ROUTER_ID_BASE + router.router_id, n)
-            invoked.append(op_id)
-            inflight[router.router_id] = op_id
+            workload.invoked.append(op_id)
+            workload.inflight[router.router_id] = op_id
 
             wants_txn = n % _TXN_EVERY == _TXN_EVERY - 1 or (
                 n == 0 and router.crash_point is not None
@@ -369,13 +386,12 @@ def _start_router_workload(
 
             def done(result, keys=keys) -> None:
                 if getattr(result, "committed", False):
-                    # Invariant #8's ledger: the last committed value per
-                    # key (the workload always writes PAYLOAD).
+                    # The workload always writes PAYLOAD.
                     for key in keys:
-                        committed_writes[key] = PAYLOAD
-                completed.append(op_id)
-                completed_at_ns.append(cluster.sim.now)
-                inflight.pop(router.router_id, None)
+                        workload.committed_writes[key] = PAYLOAD
+                workload.completed.append(op_id)
+                workload.completed_at_ns.append(cluster.sim.now)
+                workload.inflight.pop(router.router_id, None)
                 submit()
 
             if wants_txn:
@@ -389,6 +405,7 @@ def _start_router_workload(
 
     for router in cluster.routers:
         start(router)
+    return workload
 
 
 def _execute_shard(
@@ -429,16 +446,7 @@ def _execute_shard(
     if scenario.crash_router_point is not None:
         cluster.routers[0].crash_point = scenario.crash_router_point
 
-    invoked: list[tuple[int, int]] = []
-    completed: list[tuple[int, int]] = []
-    completed_at_ns: list[int] = []
-    inflight: dict[int, tuple[int, int]] = {}
-    committed_writes: dict[bytes, bytes] = {}
-    issuing = {"on": True}
-    _start_router_workload(
-        cluster, invoked, completed, completed_at_ns, issuing, inflight,
-        committed_writes,
-    )
+    workload = _start_router_workload(cluster)
     for injector in injectors:
         injector.start()
 
@@ -457,29 +465,7 @@ def _execute_shard(
             ),
         )
 
-    step = 10 * MILLISECOND
-    deadline = cluster.sim.now + run_ns
-    hard_cap = deadline + drain_ns
-    while cluster.sim.now < deadline or (
-        not target.quiescent and cluster.sim.now < hard_cap
-    ):
-        cluster.run_for(step)
-    if not target.quiescent:
-        target.log.append(
-            f"WARNING: {len(target.pending)} fault(s) never triggered and "
-            f"{target.open_heals} heal(s) still open at the hard cap"
-        )
-
-    # Drain: stop issuing, let in-flight router work finish (crashed
-    # routers are excused — their stranded transactions are the point).
-    issuing["on"] = False
-    drain_deadline = cluster.sim.now + drain_ns
-    while (
-        any(r.busy for r in cluster.routers if not r.crashed)
-        and cluster.sim.now < drain_deadline
-    ):
-        cluster.run_for(step)
-    cluster.run_for(settle_ns)
+    run_phases(cluster, injectors, workload, run_ns, drain_ns, settle_ns)
 
     # Finish the migration: a crashed driver gets a successor that
     # resumes from replicated state; a live one gets time to complete.
@@ -494,7 +480,7 @@ def _execute_shard(
             )
         move_deadline = cluster.sim.now + drain_ns
         while not moves and cluster.sim.now < move_deadline:
-            cluster.run_for(step)
+            cluster.run_for(10 * MILLISECOND)
 
     # Reconciliation sweep: resolve every leftover prepared transaction
     # before atomicity is judged, exactly as a recovery daemon would.
@@ -517,19 +503,12 @@ def _execute_shard(
             for s, client_id, req_id in completions
             if s == shard
         ]
-        violations += check_agreement(group)
-        violations += check_no_committed_loss(group, group_completed)
-        violations += check_checkpoint_monotone(
-            injectors[shard].stability_samples
+        violations += check_group_invariants(
+            group, group_completed, injectors[shard].stability_samples
         )
-    crashed_ids = {r.router_id for r in cluster.routers if r.crashed}
-    excused = {
-        op for rid, op in inflight.items() if rid in crashed_ids
-    }
-    live_invoked = [op for op in invoked if op not in excused]
-    violations += check_liveness(cluster.groups[0], live_invoked, completed)
+    violations += check_liveness(workload.live_invoked(), workload.completed)
     violations += check_flood_liveness(
-        target.client_fault_windows, completed_at_ns
+        target.client_fault_windows, workload.completed_at_ns
     )
     violations += check_cross_shard_atomicity(cluster.groups)
     if scenario.migrate_at_ns is not None:
@@ -542,15 +521,15 @@ def _execute_shard(
                 )
             )
     violations += check_migration_safety(
-        cluster.groups, cluster.directory, committed_writes
+        cluster.groups, cluster.directory, workload.committed_writes
     )
 
     result = RunResult(
         schedule=scenario.name,
         seed=seed,
         violations=violations,
-        invoked_ops=len(invoked),
-        completed_ops=len(completed),
+        invoked_ops=len(workload.invoked),
+        completed_ops=len(workload.completed),
         max_view=max(
             replica.view for group in cluster.groups for replica in group.replicas
         ),
@@ -572,18 +551,13 @@ def run_shard_scenario(
 ) -> RunResult:
     """Run one scenario at one seed; dump forensics if an invariant broke."""
     config = config or shard_campaign_config()
-    result, cluster = _execute_shard(
-        scenario, seed, config, run_ns, drain_ns, settle_ns, trace
+    return _run_with_forensics(
+        functools.partial(
+            _execute_shard, scenario, seed, config, run_ns, drain_ns, settle_ns
+        ),
+        trace,
+        artifact_dir,
     )
-    if result.violations and artifact_dir is not None:
-        if not trace:
-            traced, cluster = _execute_shard(
-                scenario, seed, config, run_ns, drain_ns, settle_ns, trace=True
-            )
-            traced.artifacts = _dump_artifacts(traced, cluster, artifact_dir)
-            return traced
-        result.artifacts = _dump_artifacts(result, cluster, artifact_dir)
-    return result
 
 
 def run_shard_campaign(
@@ -600,12 +574,7 @@ def run_shard_campaign(
     seeds = seeds if seeds is not None else [1, 2]
     runs = [
         run_shard_scenario(
-            scenario,
-            seed,
-            config=config,
-            run_ns=run_ns,
-            drain_ns=drain_ns,
-            settle_ns=settle_ns,
+            scenario, seed, config, run_ns, drain_ns, settle_ns,
             artifact_dir=artifact_dir,
         )
         for scenario in scenarios

@@ -56,9 +56,9 @@ def test_fault_campaign_smoke():
     assert "13/13 runs passed all invariants" in out
 
 
-def test_rebalance_campaign_smoke():
-    out = run_example("rebalance_campaign.py", args=("--smoke",))
-    assert "4/4 runs passed all invariants" in out
+def test_shard_campaign_smoke():
+    out = run_example("shard_campaign.py", args=("--smoke",))
+    assert "7/7 runs passed all invariants" in out
     assert "rebalance-under-churn" in out
 
 

@@ -21,11 +21,13 @@ from repro.faults import (
     CrashReplica,
     FaultSchedule,
     Trigger,
+    Violation,
     builtin_schedules,
     run_campaign,
     run_schedule,
 )
 from repro.faults.library import lossy_replica_links
+from repro.harness import SweepCell, run_cells
 
 # Shortened phases keep the sweep fast; every schedule still applies and
 # heals all its faults well inside the run window.
@@ -64,24 +66,29 @@ def test_lossy_links_regression_tentative_and_transferred_replies():
     assert result.completed_ops == result.invoked_ops
 
 
+# f+1 permanent crashes destroy the quorum, so liveness must trip; the
+# short phases keep the failing run cheap.
+QUORUM_LOSS = FaultSchedule(
+    name="quorum-loss",
+    description="two permanent crashes (f=1): agreement halts",
+    faults=(
+        CrashReplica(replica=2, at=Trigger(at_ns=100 * MILLISECOND),
+                     restart_after_ns=None),
+        CrashReplica(replica=3, at=Trigger(at_ns=100 * MILLISECOND),
+                     restart_after_ns=None),
+    ),
+)
+SHORT = dict(
+    run_ns=300 * MILLISECOND, drain_ns=400 * MILLISECOND,
+    settle_ns=100 * MILLISECOND,
+)
+
+
 def test_violation_dumps_artifacts(tmp_path):
-    # f+1 permanent crashes destroy the quorum: liveness must trip, and
-    # the campaign must re-run deterministically with tracing to dump a
-    # Chrome trace plus a minimized event log.
-    fatal = FaultSchedule(
-        name="quorum-loss",
-        description="two permanent crashes (f=1): agreement halts",
-        faults=(
-            CrashReplica(replica=2, at=Trigger(at_ns=100 * MILLISECOND),
-                         restart_after_ns=None),
-            CrashReplica(replica=3, at=Trigger(at_ns=100 * MILLISECOND),
-                         restart_after_ns=None),
-        ),
-    )
+    # The campaign must re-run the failure deterministically with tracing
+    # to dump a Chrome trace plus a minimized event log.
     result = run_schedule(
-        fatal, seed=1,
-        run_ns=300 * MILLISECOND, drain_ns=400 * MILLISECOND,
-        settle_ns=100 * MILLISECOND, artifact_dir=str(tmp_path),
+        QUORUM_LOSS, seed=1, artifact_dir=str(tmp_path), **SHORT
     )
     assert not result.ok
     assert any(v.invariant == "liveness" for v in result.violations)
@@ -99,3 +106,26 @@ def test_fault_log_records_apply_and_heal():
     result = run_schedule(lossy_replica_links(), seed=1, **FAST)
     assert any("drop" in line for line in result.fault_log)
     assert any("close disturbance window" in line for line in result.fault_log)
+
+
+def test_parallel_cells_match_serial_runs():
+    # Worker processes must hand back the RunResults a serial run gives:
+    # fault log and Violation objects included, not a lossy summary.
+    cells = [
+        SweepCell(
+            fn=run_schedule, scenario="lossy-replica-links",
+            params=dict(schedule=lossy_replica_links(), **FAST), seed=1,
+        ),
+        SweepCell(
+            fn=run_schedule, scenario="quorum-loss",
+            params=dict(schedule=QUORUM_LOSS, **SHORT), seed=1,
+        ),
+    ]
+    parallel = run_cells(cells, workers=2)
+    serial = [
+        run_schedule(seed=cell.seed, **cell.params) for cell in cells
+    ]
+    assert parallel == serial
+    assert parallel[0].ok and parallel[0].fault_log
+    assert not parallel[1].ok
+    assert all(isinstance(v, Violation) for v in parallel[1].violations)

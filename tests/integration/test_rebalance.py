@@ -15,9 +15,9 @@ from repro.shard import (
     key_for_shard,
     key_position,
     rebalance_scenarios,
-    rebalance_smoke_scenarios,
     run_shard_scenario,
     shard_campaign_config,
+    smoke_scenarios,
 )
 from repro.shard.txapp import _reply_wrong_shard
 
@@ -356,7 +356,9 @@ FAST = dict(run_ns=600 * MILLISECOND, drain_ns=2500 * MILLISECOND)
 
 class TestRebalanceCampaign:
     def test_smoke_scenarios_pass_all_invariants(self):
-        for scenario in rebalance_smoke_scenarios():
+        migrations = [s for s in smoke_scenarios() if s.migrate_at_ns]
+        assert len(migrations) == 3
+        for scenario in migrations:
             result = run_shard_scenario(scenario, seed=1, **FAST)
             assert result.ok, (
                 f"{scenario.name}: {[str(v) for v in result.violations]}"

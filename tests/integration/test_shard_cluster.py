@@ -8,7 +8,8 @@ routers — the same stack the shard bench and fault campaign use.
 from repro.apps.kvstore import encode_get, encode_put
 from repro.apps.sqlapp import SqlApplication, encode_sql_op
 from repro.common.units import MILLISECOND, SECOND
-from repro.faults.invariants import check_cross_shard_atomicity
+from repro.faults import campaign as faults_campaign
+from repro.faults.invariants import Violation, check_cross_shard_atomicity
 from repro.shard import (
     DECISION_COMMIT,
     SqlShardCodec,
@@ -151,12 +152,35 @@ FAST = dict(run_ns=600 * MILLISECOND, drain_ns=2500 * MILLISECOND)
 
 class TestCampaignSmoke:
     def test_smoke_scenarios_pass_all_invariants(self):
+        # The migration smoke scenarios run in test_rebalance.py.
         for scenario in smoke_scenarios():
+            if scenario.migrate_at_ns is not None:
+                continue
             result = run_shard_scenario(scenario, seed=1, **FAST)
             assert result.ok, (
                 f"{scenario.name}: {[str(v) for v in result.violations]}"
             )
             assert result.completed_ops > 0
+
+    def test_membership_safety_checked_per_group(self, monkeypatch):
+        # Invariant #7 runs once for every group, like #1-3.
+        checked = []
+
+        def sentinel(group):
+            checked.append(group)
+            return [Violation("membership-safety", "sentinel")]
+
+        monkeypatch.setattr(
+            faults_campaign, "check_membership_safety", sentinel
+        )
+        baseline = next(
+            s for s in shard_scenarios() if s.name == "shard-baseline"
+        )
+        result = run_shard_scenario(baseline, seed=1, **FAST)
+        assert result.violations == [
+            Violation("membership-safety", "sentinel")
+        ] * 2
+        assert len({id(group) for group in checked}) == 2
 
     def test_scenarios_cover_router_and_replica_faults(self):
         names = {s.name for s in shard_scenarios()}

@@ -1,9 +1,11 @@
 """Report formatting."""
 
+from repro.faults import CampaignResult, RunResult
 from repro.harness.configs import TABLE1_CONFIGS, ConfigRow
 from repro.harness.measure import Measurement
 from repro.harness.reporting import (
     format_acid,
+    format_campaign,
     format_fig4,
     format_fig5,
     format_table1,
@@ -59,3 +61,22 @@ def test_acid_format_reports_speedup():
     text = format_acid(fake_measurement("acid", 500.0), fake_measurement("noacid", 1000.0))
     assert "2.00x" in text
     assert "534" in text and "1155" in text  # the paper anchors
+
+
+def test_campaign_format_sizes_schedule_column_to_longest_name():
+    names = ["shard-baseline", "rebalance-driver-crash-after-activate"]
+    campaign = CampaignResult(
+        runs=[
+            RunResult(
+                schedule=name, seed=1, violations=[], invoked_ops=10,
+                completed_ops=10, max_view=0, sim_time_ns=1_000_000,
+            )
+            for name in names
+        ]
+    )
+    header, rule, *rows, summary = format_campaign(campaign).splitlines()
+    # Every row's seed sits under the header's, the longest name included.
+    seed_col = header.index("Seed")
+    assert [row[seed_col:seed_col + 4] for row in rows] == ["   1"] * 2
+    assert len(rule) == len(header)
+    assert summary == "2/2 runs passed all invariants"

@@ -1,18 +1,18 @@
-"""The multi-process sweep runner: seeds, registry, ordering, merging."""
+"""The multi-process sweep runner: seeds, function cells, ordering, merging."""
 
 import json
 
-import pytest
-
-from repro.common.errors import ConfigError
 from repro.harness.sweeprunner import (
     SweepCell,
     cell_seeds,
     derive_cell_seed,
     merged_json,
-    register_cell_runner,
     run_cells,
 )
+
+
+def _echo(seed: int, **params) -> dict:
+    return {"seed": seed, **params}
 
 
 class TestSeedDerivation:
@@ -44,8 +44,8 @@ class TestSeedDerivation:
 
     def test_explicit_seed_bypasses_derivation(self):
         cells = [
-            SweepCell(kind="k", scenario="s", seed=41),
-            SweepCell(kind="k", scenario="s"),
+            SweepCell(fn=_echo, scenario="s", seed=41),
+            SweepCell(fn=_echo, scenario="s"),
         ]
         seeds = cell_seeds(cells, base_seed=3)
         assert seeds[0] == 41
@@ -56,27 +56,10 @@ class TestSeedDerivation:
         assert 0 <= seed < 2**63
 
 
-def _echo_runner(params: dict, seed: int) -> dict:
-    return {"seed": seed, **params}
-
-
 class TestRegistryAndRunning:
-    def test_unknown_kind_fails_fast(self):
-        with pytest.raises(ConfigError, match="unknown cell kind"):
-            run_cells([SweepCell(kind="no-such-kind", scenario="s")])
-
-    def test_duplicate_registration_rejected(self):
-        register_cell_runner("dup-kind", _echo_runner)
-        register_cell_runner("dup-kind", _echo_runner)  # same fn: idempotent
-        with pytest.raises(ConfigError, match="already registered"):
-            register_cell_runner("dup-kind", lambda p, s: p)
-        register_cell_runner("dup-kind", lambda p, s: p, replace=True)
-        register_cell_runner("dup-kind", _echo_runner, replace=True)
-
     def test_results_in_cell_order_with_derived_seeds(self):
-        register_cell_runner("echo", _echo_runner, replace=True)
         cells = [
-            SweepCell(kind="echo", scenario=scenario, params={"tag": i})
+            SweepCell(fn=_echo, scenario=scenario, params={"tag": i})
             for i, scenario in enumerate(["a", "b", "a"])
         ]
         results = run_cells(cells, base_seed=9)
@@ -86,11 +69,10 @@ class TestRegistryAndRunning:
         assert results[0]["seed"] != results[2]["seed"]
 
     def test_parallel_matches_serial(self):
-        # Forked workers inherit the registered runner; order and seeds
-        # must match the in-process run exactly.
-        register_cell_runner("echo", _echo_runner, replace=True)
+        # Workers unpickle the cell's function by reference; order and
+        # seeds must match the in-process run exactly.
         cells = [
-            SweepCell(kind="echo", scenario="s", params={"tag": i})
+            SweepCell(fn=_echo, scenario="s", params={"tag": i})
             for i in range(5)
         ]
         serial = run_cells(cells, base_seed=4, workers=1)
